@@ -14,8 +14,7 @@
 using namespace chc;
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header(
       "E2", "per-round Hausdorff disagreement vs (1-1/n)^t bound (eq. 18)");
 

@@ -11,8 +11,7 @@
 using namespace chc;
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header(
       "E1", "Theorem 2 certification sweep (validity / eps-agreement / "
             "termination / optimality)");

@@ -21,11 +21,11 @@
 using namespace chc;
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
   // --report FILE: one run-report JSON object per shimmed run (JSONL) —
   // the machine-readable companion to the printed table; CI archives it.
-  const std::string report_path = bench::flag_value(argc, argv, "--report");
+  const bench::Options opts = bench::init(argc, argv, /*with_report=*/true);
+  const bool quick = opts.quick;
+  const std::string& report_path = opts.report;
   std::ofstream report_out;
   if (!report_path.empty()) {
     report_out.open(report_path);

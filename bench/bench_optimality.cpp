@@ -15,8 +15,7 @@
 using namespace chc;
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header(
       "E4", "I_Z optimality: stable vector vs naive round-0 ablation");
 

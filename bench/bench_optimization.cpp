@@ -15,8 +15,7 @@
 using namespace chc;
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header("E7",
                                  "2-step function optimization (weak "
                                  "beta-optimality, Theorem-4 tension)");

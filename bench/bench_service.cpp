@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/lossy.hpp"
 #include "geometry/intern.hpp"
 #include "net/policy.hpp"
@@ -31,6 +32,12 @@
 namespace {
 
 using namespace chc;
+
+void usage() {
+  std::cerr << "usage: bench_service [--out FILE]\n"
+               "  CHC_SVC_BENCH_INSTANCES  batch size (default 48)\n"
+               "  CHC_SVC_BENCH_REPEATS    passes per config (default 2)\n";
+}
 
 std::size_t env_size(const char* name, std::size_t fallback) {
   if (const char* env = std::getenv(name)) {
@@ -120,16 +127,10 @@ std::string fmt(double v) {
 
 int main(int argc, char** argv) {
   std::string out_path = "BENCH_service.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--out" && i + 1 < argc) {
-      out_path = argv[++i];
-    } else {
-      std::cerr << "usage: bench_service [--out FILE]\n"
-                   "  CHC_SVC_BENCH_INSTANCES  batch size (default 48)\n"
-                   "  CHC_SVC_BENCH_REPEATS    passes per config (default 2)\n";
-      return 2;
-    }
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--out")) out_path = args.value();
+    else args.unknown();
   }
 
   const std::size_t instances = env_size("CHC_SVC_BENCH_INSTANCES", 48);

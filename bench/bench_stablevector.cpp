@@ -46,8 +46,7 @@ class SvHost final : public sim::Process {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header(
       "E8b", "stable vector message complexity vs n");
 

@@ -46,8 +46,7 @@ std::size_t measured_rounds_to_eps(const core::RunOutput& out, double eps) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header(
       "E3", "t_end (eq. 19) vs measured rounds-to-eps");
 

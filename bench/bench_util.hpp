@@ -1,36 +1,25 @@
-// Shared helpers for the experiment harnesses (E1..E8).
+// Shared helpers for the experiment harnesses (E1..E10).
 //
 // Every harness prints a header naming the experiment and a fixed-format
 // table; EXPERIMENTS.md records these tables as the paper-vs-measured
-// evidence. Pass --quick to any harness to shrink sweeps (CI-sized runs).
+// evidence. Flags, parsed by common/cli like every tool's: --quick shrinks
+// sweeps (CI-sized runs), --csv switches the tables to CSV, and a harness
+// that writes a run report takes --report FILE. Any other argument prints
+// usage and exits 2, so a typo cannot silently run the wrong experiment.
 #pragma once
 
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 
 namespace chc::bench {
 
-inline bool flag_present(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
-
-inline bool quick_mode(int argc, char** argv) {
-  return flag_present(argc, argv, "--quick");
-}
-
-/// Value following `flag` (e.g. --report FILE), or "" when absent.
-inline std::string flag_value(int argc, char** argv, const char* flag) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return argv[i + 1];
-  }
-  return {};
-}
+struct Options {
+  bool quick = false;
+  std::string report;  ///< --report FILE; empty when absent
+};
 
 namespace detail {
 inline bool& csv_flag() {
@@ -39,10 +28,22 @@ inline bool& csv_flag() {
 }
 }  // namespace detail
 
-/// Call once at the top of main: switches emit() to CSV when --csv is
-/// passed (for piping straight into plotting scripts).
-inline void init_output(int argc, char** argv) {
-  detail::csv_flag() = flag_present(argc, argv, "--csv");
+/// Call once at the top of main. `with_report`: the harness takes
+/// --report FILE.
+inline Options init(int argc, char** argv, bool with_report = false) {
+  const auto usage = [&] {
+    std::cerr << "usage: " << argv[0] << " [--quick] [--csv]"
+              << (with_report ? " [--report FILE]" : "") << "\n";
+  };
+  Options opts;
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--quick")) opts.quick = true;
+    else if (args.is("--csv")) detail::csv_flag() = true;
+    else if (with_report && args.is("--report")) opts.report = args.value();
+    else args.unknown();
+  }
+  return opts;
 }
 
 inline void print_experiment_header(const std::string& id,

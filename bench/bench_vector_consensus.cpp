@@ -16,8 +16,7 @@
 using namespace chc;
 
 int main(int argc, char** argv) {
-  bench::init_output(argc, argv);
-  const bool quick = bench::quick_mode(argc, argv);
+  const bool quick = bench::init(argc, argv).quick;
   bench::print_experiment_header(
       "E6", "convex hull consensus vs vector consensus baseline");
 

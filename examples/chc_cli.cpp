@@ -10,10 +10,10 @@
 //
 // One row per run: seed, certificate flags, disagreement, sizes, cost.
 // Exit status 0 iff every run certified.
-#include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/cli.hpp"
 #include "common/table.hpp"
 #include "core/harness.hpp"
 
@@ -21,13 +21,13 @@ using namespace chc;
 
 namespace {
 
-[[noreturn]] void usage(const char* msg) {
-  std::cerr << "error: " << msg << "\n"
-            << "usage: chc_cli [--n N] [--f F] [--d D] [--eps E] [--seed S]\n"
-            << "  [--runs R] [--pattern uniform|clustered|collinear|identical]\n"
-            << "  [--crash none|early|mid|late] [--delay uniform|expo|lagged|lagged1]\n"
-            << "  [--model incorrect|correct] [--round0 stable|naive] [--csv]\n";
-  std::exit(2);
+void usage() {
+  std::cerr
+      << "usage: chc_cli [--n N] [--f F] [--d D] [--eps E] [--seed S]\n"
+      << "  [--runs R] [--pattern uniform|clustered|collinear|identical]\n"
+      << "  [--crash none|early|mid|late]\n"
+      << "  [--delay uniform|expo|lagged|lagged1]\n"
+      << "  [--model incorrect|correct] [--round0 stable|naive] [--csv]\n";
 }
 
 }  // namespace
@@ -42,65 +42,59 @@ int main(int argc, char** argv) {
   std::size_t runs = 1;
   bool csv = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> std::string {
-      if (i + 1 >= argc) usage(("missing value for " + arg).c_str());
-      return argv[++i];
-    };
-    if (arg == "--n") {
-      rc.cc.n = std::stoul(next());
-    } else if (arg == "--f") {
-      rc.cc.f = std::stoul(next());
-    } else if (arg == "--d") {
-      rc.cc.d = std::stoul(next());
-    } else if (arg == "--eps") {
-      rc.cc.eps = std::stod(next());
-    } else if (arg == "--seed") {
-      rc.seed = std::stoull(next());
-    } else if (arg == "--runs") {
-      runs = std::stoul(next());
-    } else if (arg == "--pattern") {
-      const std::string v = next();
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--n")) {
+      rc.cc.n = args.count();
+    } else if (args.is("--f")) {
+      rc.cc.f = args.count();
+    } else if (args.is("--d")) {
+      rc.cc.d = args.count();
+    } else if (args.is("--eps")) {
+      rc.cc.eps = args.positive();
+    } else if (args.is("--seed")) {
+      rc.seed = args.count();
+    } else if (args.is("--runs")) {
+      runs = args.count();
+    } else if (args.is("--pattern")) {
+      const std::string v = args.value();
       if (v == "uniform") rc.pattern = core::InputPattern::kUniform;
       else if (v == "clustered") rc.pattern = core::InputPattern::kClustered;
       else if (v == "collinear") rc.pattern = core::InputPattern::kCollinear;
       else if (v == "identical") rc.pattern = core::InputPattern::kIdentical;
-      else usage("unknown pattern");
-    } else if (arg == "--crash") {
-      const std::string v = next();
+      else args.fail("unknown pattern");
+    } else if (args.is("--crash")) {
+      const std::string v = args.value();
       if (v == "none") rc.crash_style = core::CrashStyle::kNone;
       else if (v == "early") rc.crash_style = core::CrashStyle::kEarly;
       else if (v == "mid") rc.crash_style = core::CrashStyle::kMidBroadcast;
       else if (v == "late") rc.crash_style = core::CrashStyle::kLate;
-      else usage("unknown crash style");
-    } else if (arg == "--delay") {
-      const std::string v = next();
+      else args.fail("unknown crash style");
+    } else if (args.is("--delay")) {
+      const std::string v = args.value();
       if (v == "uniform") rc.delay = core::DelayRegime::kUniform;
       else if (v == "expo") rc.delay = core::DelayRegime::kExponential;
       else if (v == "lagged") rc.delay = core::DelayRegime::kLaggedFaulty;
       else if (v == "lagged1") rc.delay = core::DelayRegime::kLaggedOneCorrect;
-      else usage("unknown delay regime");
-    } else if (arg == "--model") {
-      const std::string v = next();
+      else args.fail("unknown delay regime");
+    } else if (args.is("--model")) {
+      const std::string v = args.value();
       if (v == "incorrect") {
         rc.cc.fault_model = core::FaultModel::kCrashIncorrectInputs;
       } else if (v == "correct") {
         rc.cc.fault_model = core::FaultModel::kCrashCorrectInputs;
       } else {
-        usage("unknown fault model");
+        args.fail("unknown fault model");
       }
-    } else if (arg == "--round0") {
-      const std::string v = next();
+    } else if (args.is("--round0")) {
+      const std::string v = args.value();
       if (v == "stable") rc.cc.round0 = core::Round0Policy::kStableVector;
       else if (v == "naive") rc.cc.round0 = core::Round0Policy::kNaiveCollect;
-      else usage("unknown round0 policy");
-    } else if (arg == "--csv") {
+      else args.fail("unknown round0 policy");
+    } else if (args.is("--csv")) {
       csv = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage("help requested");
     } else {
-      usage(("unknown flag " + arg).c_str());
+      args.unknown();
     }
   }
 

@@ -8,9 +8,8 @@
 //
 // Concurrency contract:
 //  * parallel_for is serialized internally: a second caller (e.g. another
-//    ThreadedRuntime process thread inside a geometry kernel) that finds
-//    the pool busy runs its loop inline on its own thread instead of
-//    waiting. Results cannot differ — only the scheduling does.
+//    svc shard thread inside a geometry kernel) that finds the pool busy
+//    runs its loop inline on its own thread instead of waiting. Results cannot differ — only the scheduling does.
 //  * Nested parallel_for from inside a job therefore also degrades to an
 //    inline loop (no deadlock).
 //  * Jobs may throw; the first exception is rethrown on the calling thread

@@ -12,7 +12,7 @@
 // nondeterminism regression in the simulator, RNG forking or geometry
 // kernels.
 //
-// Only env == "sim" traces are replayable (the threaded runtime is
+// Only env == "sim" traces are replayable (live cluster traces are
 // wall-clock scheduled).
 #pragma once
 

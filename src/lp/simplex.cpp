@@ -65,6 +65,11 @@ class Tableau {
         }
       }
       if (leave == m_) return Status::kUnbounded;
+      // A basic value that roundoff left slightly negative must leave at
+      // zero. Pivoting on it as is sets the entering variable to
+      // rhs / pivot, which a small pivot turns into a real violation of
+      // the constraints (a "Chebyshev centre" outside the polytope).
+      if (rhs_[leave] < -kTol * t_[leave][enter]) rhs_[leave] = 0.0;
       pivot(leave, enter);
     }
     CHC_INTERNAL(false, "simplex exceeded its iteration tripwire");

@@ -3,8 +3,8 @@
 //
 // Structural checks (the trace is a plausible execution):
 //   * the first record is a header; seq numbers strictly increase and event
-//     times are non-decreasing (env == "sim" traces only — the threaded
-//     runtime's sink interleaves);
+//     times are non-decreasing (env == "sim" traces only — concurrent
+//     emitters interleave in a live sink);
 //   * per process: at most one round-0 completion, round completions are
 //     consecutive from 1, each preceded by its round_start, at most one
 //     decision, and nothing is emitted after the process's crash event;

@@ -8,8 +8,9 @@
 // registry stay valid for the registry's lifetime, so hot paths hold the
 // pointer and pay one atomic per observation.
 //
-// All metric types are thread-safe (rt::ThreadedRuntime observes from
-// process threads); the registry itself locks only on creation/lookup.
+// All metric types are thread-safe (svc shards observe one registry from
+// their worker threads); the registry itself locks only on
+// creation/lookup.
 #pragma once
 
 #include <atomic>

@@ -17,9 +17,9 @@
 // (vertex copies, sender sets) never happens unless a sink is attached.
 //
 // Thread safety: seq stamping is atomic and sinks lock internally, so one
-// Tracer may be shared by all threads of rt::ThreadedRuntime. Under the
-// single-threaded simulator, seq order == emission order == file order,
-// which is what makes replay comparison line-for-line.
+// Tracer may be shared by several threads. Under the single-threaded
+// simulator, seq order == emission order == file order, which is what
+// makes replay comparison line-for-line.
 #pragma once
 
 #include <atomic>
@@ -136,15 +136,15 @@ struct TraceHeader {
   /// Algorithm CC — the default, omitted from the serialized form) or
   /// "bcc" (Byzantine convex consensus). Checker and replay dispatch on it.
   std::string protocol = "cc";
-  /// "sim" (deterministic, replayable), "rt" (threaded runtime, wall
-  /// clock), or "live" (a real multi-process cluster node; wall clock,
-  /// NOT seed-replayable — the checker verifies safety invariants only).
+  /// "sim" (deterministic, replayable) or "live" (a real multi-process
+  /// cluster node; wall clock, NOT seed-replayable — the checker verifies
+  /// safety invariants only).
   std::string env = "sim";
   /// Live traces are written per node: a node can only record its own
   /// protocol events, so `perspective` names the one process this trace
   /// covers and the checker restricts cross-process invariants to what a
   /// single-process view can support. -1 (the default, omitted from the
-  /// serialized form) means the trace covers every process, as sim / rt /
+  /// serialized form) means the trace covers every process, as sim and
   /// merged cluster traces do.
   std::int64_t perspective = -1;
 

@@ -3,6 +3,8 @@
 // optimality containment I_Z ⊆ output (Lemma 6).
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "core/harness.hpp"
 
 namespace chc::core {
@@ -87,8 +89,20 @@ TEST(AlgorithmCC, OneDimensionalInputs) {
 TEST(AlgorithmCC, ThreeDimensionalInputs) {
   RunConfig rc = base_config();
   rc.cc = CCConfig{.n = 6, .f = 1, .d = 3, .eps = 0.2};
-  const auto out = run_cc_once(rc);
-  expect_certified(out, "n=6 f=1 d=3");
+  expect_certified(run_cc_once(rc), "n=6 f=1 d=3");
+  // Runs whose subset-hull intersections are thin slabs. The simplex used
+  // to pivot on a row whose basic value roundoff had left slightly
+  // negative, so the Chebyshev centre sat outside a constraint and the
+  // halfspace intersection threw instead of deciding. These are entries
+  // 851 and 874 of perfbench's svc-d3 instance sets for seeds 5 and 6.
+  rc.cc.eps = 0.15;
+  for (const auto& [seed, crash] :
+       {std::pair{13714490759342288657ull, CrashStyle::kLate},
+        std::pair{9187792019719314826ull, CrashStyle::kMidBroadcast}}) {
+    rc.seed = seed;
+    rc.crash_style = crash;
+    expect_certified(run_cc_once(rc), "n=6 f=1 d=3 thin slab");
+  }
 }
 
 TEST(AlgorithmCC, CollinearAdversarialInputs) {

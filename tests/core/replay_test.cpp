@@ -98,7 +98,7 @@ TEST(Replay, RejectsNonSimEnv) {
   auto lines = record(base_config(35));
   obs::TraceHeader h;
   ASSERT_TRUE(obs::parse_header(lines[0], h, nullptr));
-  h.env = "rt";
+  h.env = "live";
   lines[0] = obs::to_jsonl(h);
   const ReplayResult rr = replay_trace_lines(lines);
   EXPECT_FALSE(rr.ran);

@@ -136,6 +136,33 @@ TEST(Chebyshev, UnboundedInteriorCapped) {
   EXPECT_LE(c.center[0], 0.0 + 1e-7);
 }
 
+TEST(Chebyshev, CentreStaysInsideThinSlab) {
+  // Rows 0, 3 and 4 are nearly parallel and bound a slab about 2e-5 wide.
+  // The simplex used to pivot on a basic value that roundoff had left
+  // slightly negative; the small pivot turned that into a "centre" 1e-5
+  // outside row 1 (a d=3 consensus round threw on this system).
+  const Rows A{
+      {-0x1.5417773b29125p-1, -0x1.7e61e2b8ccd43p-1, -0x1.04a6ba58d2c9p-5},
+      {-0x1.a8494ced5a0c9p-1, -0x1.086b6e1310c1cp-1, 0x1.b9f29b62d034dp-3},
+      {0x1.92f0496b85ee9p-1, 0x1.05e18579ae1c9p-2, 0x1.1f7858cb3cfcep-1},
+      {0x1.541522f2d92fp-1, 0x1.7e6410b9c61f9p-1, 0x1.047e1addcce08p-5},
+      {0x1.54177887d7f07p-1, 0x1.7e621ac364fcdp-1, 0x1.0452c3e325f53p-5}};
+  const std::vector<double> b{-0x1.08822aad62d06p-2, -0x1.c1fba42c9469fp-3,
+                              0x1.e3400ae5773p-4, 0x1.0888b1450466ap-2,
+                              0x1.08883e3f8a437p-2};
+  const auto c = chebyshev_center(A, b);
+  ASSERT_TRUE(c.feasible);
+  ASSERT_GT(c.radius, 1e-6);
+  for (std::size_t i = 0; i < A.size(); ++i) {
+    double ax = 0.0, norm = 0.0;
+    for (std::size_t j = 0; j < 3; ++j) {
+      ax += A[i][j] * c.center[j];
+      norm += A[i][j] * A[i][j];
+    }
+    EXPECT_GT((b[i] - ax) / std::sqrt(norm), 0.5 * c.radius) << "row " << i;
+  }
+}
+
 TEST(Simplex, RandomLpsAgreeWithVertexEnumeration) {
   // min c·x over the box [-1,1]^2 intersected with x+y <= 1: optimum is at
   // one of the 5 polygon vertices. Compare against direct enumeration.

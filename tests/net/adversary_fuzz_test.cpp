@@ -2,24 +2,19 @@
 // rate, reorder rate, crash style, delay regime, seed) tuples.
 //
 // With the reliable-channel shim installed, every sampled lossy execution
-// must terminate and earn the full certificate (validity + eps-agreement),
-// on the discrete-event simulator and on the threaded runtime. With the
-// shim disabled, the control group shows the injector genuinely bites:
-// lossy executions fail to decide.
+// must terminate and earn the full certificate (validity + eps-agreement).
+// With the shim disabled, the control group shows the injector genuinely
+// bites: lossy executions fail to decide. The same shim on real threads
+// and a faulty transport is AdversaryFuzz.ShimmedCcOnNodeRuntime
+// (tests/transport/cluster_test.cpp).
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <sstream>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/lossy.hpp"
-#include "core/process_cc.hpp"
-#include "geometry/polytope.hpp"
 #include "net/faulty_link.hpp"
-#include "net/reliable_channel.hpp"
-#include "rt/runtime.hpp"
 
 namespace chc::net {
 namespace {
@@ -112,71 +107,6 @@ TEST(AdversaryFuzz, UnshimmedControlGroupFailsToDecide) {
     }
   }
   EXPECT_GE(violated, 1) << "no unshimmed lossy execution showed a failure";
-}
-
-TEST(AdversaryFuzz, ShimmedCcOnThreadedRuntime) {
-  // A smaller sweep on real threads: CC processes wrapped in the shim, the
-  // injector dropping/duplicating underneath, plus a mid-protocol crash of
-  // the incorrect-input process. Decisions are pulled out through the
-  // shims and checked for validity and eps-agreement directly.
-  const core::CCConfig cfg{.n = 5, .f = 1, .d = 2, .eps = 0.15};
-  const std::vector<geo::Vec> inputs = {
-      geo::Vec{0.0, 0.0}, geo::Vec{1.0, 0.0}, geo::Vec{0.0, 1.0},
-      geo::Vec{1.0, 1.0}, geo::Vec{1.8, 1.9}};  // process 4: incorrect
-  const geo::Polytope correct_hull = geo::Polytope::from_points(
-      {inputs[0], inputs[1], inputs[2], inputs[3]});
-
-  for (std::uint64_t seed : {101u, 202u, 303u}) {
-    sim::CrashSchedule cs;
-    cs.set(4, sim::CrashPlan::after(40));  // counts wire transmissions
-    rt::ThreadedRuntime rt(cfg.n, seed,
-                           std::make_unique<sim::UniformDelay>(0.05, 0.2),
-                           cs);
-    rt.set_fault_model(
-        std::make_unique<FaultyLinkModel>(NetworkPolicy::lossy(0.2, 0.05)));
-    for (std::size_t p = 0; p < cfg.n; ++p) {
-      rt.add_process(std::make_unique<ReliableChannel>(
-          std::make_unique<core::CCProcess>(cfg, inputs[p], nullptr),
-          ReliableParams{}));
-    }
-    rt.start();
-    const bool done = rt.run_until(
-        [](rt::ThreadedRuntime& r) {
-          for (std::size_t p = 0; p < 4; ++p) {
-            const bool decided = r.with_process(p, [](sim::Process& proc) {
-              return static_cast<core::CCProcess&>(
-                         static_cast<ReliableChannel&>(proc).inner())
-                  .decision()
-                  .has_value();
-            });
-            if (!decided) return false;
-          }
-          return true;
-        },
-        60.0);
-    rt.stop();
-    ASSERT_TRUE(done) << "seed " << seed
-                      << ": processes did not decide over the lossy network";
-    EXPECT_GT(rt.messages_lost(), 0u) << "seed " << seed;
-
-    std::vector<geo::Polytope> decisions;
-    for (std::size_t p = 0; p < 4; ++p) {
-      decisions.push_back(rt.with_process(p, [](sim::Process& proc) {
-        return *static_cast<core::CCProcess&>(
-                    static_cast<ReliableChannel&>(proc).inner())
-                    .decision();
-      }));
-    }
-    for (const auto& dec : decisions) {
-      EXPECT_TRUE(correct_hull.contains(dec, 1e-6)) << "seed " << seed;
-    }
-    for (std::size_t a = 0; a < decisions.size(); ++a) {
-      for (std::size_t b = a + 1; b < decisions.size(); ++b) {
-        EXPECT_LT(geo::hausdorff(decisions[a], decisions[b]), cfg.eps)
-            << "seed " << seed;
-      }
-    }
-  }
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Fault-injection layer tests: seeded determinism, configured rates
 // approximately realized, per-channel overrides, FIFO-breaking reordering,
-// and stat accounting on both runtimes.
+// and stat accounting. (The live twin, FaultyTransport, counts its
+// injected faults in FaultyTransport::Stats; see
+// tests/transport/faulty_transport_test.cpp.)
 #include "net/faulty_link.hpp"
 
 #include <gtest/gtest.h>
@@ -10,7 +12,6 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "rt/runtime.hpp"
 #include "sim/simulation.hpp"
 
 namespace chc::net {
@@ -210,27 +211,6 @@ TEST(FaultyLink, PolicyEnabledDetection) {
   NetworkPolicy p;
   p.set_channel(1, 2, LinkFaults(0.0, 0.2, 0.0));
   EXPECT_TRUE(p.enabled());
-}
-
-TEST(FaultyLink, ThreadedRuntimeCountsInjectedFaults) {
-  Burst::Log log;
-  rt::ThreadedRuntime rt(2, 11,
-                         std::make_unique<sim::FixedDelay>(0.5), {});
-  rt.set_fault_model(
-      std::make_unique<FaultyLinkModel>(NetworkPolicy::lossy(0.4, 0.2)));
-  rt.add_process(std::make_unique<Burst>(&log, 1, 400));
-  rt.add_process(std::make_unique<Burst>(&log, 0, 0));
-  rt.start();
-  rt.run_until(
-      [](rt::ThreadedRuntime& r) {
-        return r.messages_delivered() + r.messages_lost() >= 400;
-      },
-      10.0);
-  rt.stop();
-  EXPECT_EQ(rt.messages_sent(), 400u);
-  EXPECT_GT(rt.messages_lost(), 100u);
-  EXPECT_LT(rt.messages_lost(), 250u);
-  EXPECT_GT(rt.messages_duplicated(), 20u);
 }
 
 }  // namespace

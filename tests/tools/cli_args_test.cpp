@@ -4,8 +4,8 @@
 // std::stoul exception (a crash with exit 134/139) and never a silent
 // misparse like "5x" -> 5.
 //
-// Each tool's binary path is injected at compile time via the
-// CHC_TOOL_*_BIN definitions in tests/CMakeLists.txt.
+// Each binary's path is injected at compile time via the CHC_TOOL_*_BIN
+// and CHC_BENCH_HARNESS_BIN definitions in tests/CMakeLists.txt.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -48,6 +48,7 @@ const ToolCase kTools[] = {
     {"chc_cluster", CHC_TOOL_CLUSTER_BIN, "--nodes"},
     {"chc_check", CHC_TOOL_CHECK_BIN, "--max-violations"},
     {"chc_serve", CHC_TOOL_SERVE_BIN, "--instances"},
+    {"chc_node", CHC_TOOL_NODE_BIN, "--id"},
 };
 
 TEST(CliArgs, GarbageNumericValueExitsTwoWithDiagnostic) {
@@ -73,6 +74,17 @@ TEST(CliArgs, UnknownFlagExitsTwoWithUsage) {
     EXPECT_EQ(r.exit_code, 2) << t.name << ": " << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos)
         << t.name << ": " << r.output;
+  }
+  // The experiment harnesses share bench::init: a typo must not silently
+  // run the wrong experiment, and --report is only for the harnesses that
+  // write one.
+  for (const char* bad_args :
+       {"--definitely-bogus", "--quick --qiuck", "--report out.jsonl"}) {
+    const CmdResult r =
+        run_cmd(std::string(CHC_BENCH_HARNESS_BIN) + " " + bad_args);
+    EXPECT_EQ(r.exit_code, 2) << bad_args << ": " << r.output;
+    EXPECT_NE(r.output.find("usage"), std::string::npos)
+        << bad_args << ": " << r.output;
   }
 }
 
@@ -107,18 +119,37 @@ TEST(CliArgs, GarbageRealValueExitsTwo) {
 }
 
 TEST(CliArgs, NodeRejectsBadValuesAndBareInvocation) {
-  // chc_node predates the shared parse_count helper but has the same
-  // contract: strict whole-value parsing, exit 2 + usage on garbage.
-  for (const char* bad_args :
-       {"--id 5x", "--client-port 70000", "--time-scale x",
-        "--definitely-bogus", "--id", ""}) {
+  // Beyond the shared cases above: a time scale or clock rate of 0, below
+  // 0, inf or nan would stall or break the node's model clock, and an
+  // epoch past UINT32_MAX would reach the transport truncated. Each must
+  // die on its own diagnostic, not on the missing --cluster after it.
+  struct Bad {
+    const char* args;
+    const char* diagnostic;
+  };
+  for (const Bad& c : {Bad{"--client-port 70000", "--client-port needs"},
+                       Bad{"--time-scale x", "--time-scale needs"},
+                       Bad{"--time-scale inf", "--time-scale needs"},
+                       Bad{"--time-scale 0", "--time-scale needs"},
+                       Bad{"--time-scale -1", "--time-scale needs"},
+                       Bad{"--time-scale nan", "--time-scale needs"},
+                       Bad{"--clock-rate inf", "--clock-rate needs"},
+                       Bad{"--clock-rate 0", "--clock-rate needs"},
+                       Bad{"--epoch 4294967296", "--epoch needs"},
+                       Bad{"", "bad --cluster"}}) {
     const CmdResult r =
-        run_cmd(std::string(CHC_TOOL_NODE_BIN) + " " + bad_args);
-    EXPECT_EQ(r.exit_code, 2) << "chc_node " << bad_args << ": "
-                              << r.output;
+        run_cmd(std::string(CHC_TOOL_NODE_BIN) + " " + c.args);
+    EXPECT_EQ(r.exit_code, 2) << "chc_node " << c.args << ": " << r.output;
+    EXPECT_NE(r.output.find(c.diagnostic), std::string::npos)
+        << "chc_node " << c.args << ": " << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos)
-        << "chc_node " << bad_args << ": " << r.output;
+        << "chc_node " << c.args << ": " << r.output;
   }
+  // The largest epoch is accepted; only the missing --cluster stops it.
+  const CmdResult r =
+      run_cmd(std::string(CHC_TOOL_NODE_BIN) + " --epoch 4294967295");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("bad --cluster"), std::string::npos) << r.output;
 }
 
 TEST(CliArgs, NoModeExitsTwoWithUsage) {

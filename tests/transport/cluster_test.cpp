@@ -1,5 +1,6 @@
 // Cluster runtime tests: NodeRuntime over LoopbackHub (threaded, the TSan
-// target), TCP reconnect with epoch bump, and the line RPC.
+// target; see loopback_cluster.hpp), with and without injected link
+// faults, TCP reconnect with epoch bump, and the line RPC.
 #include <gtest/gtest.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -12,11 +13,9 @@
 #include <thread>
 #include <vector>
 
-#include "core/workload.hpp"
 #include "geometry/polytope.hpp"
+#include "loopback_cluster.hpp"
 #include "obs/checker.hpp"
-#include "transport/loopback.hpp"
-#include "transport/node.hpp"
 #include "transport/rpc.hpp"
 #include "transport/tcp.hpp"
 
@@ -151,8 +150,6 @@ TEST(Rpc, LineServerAnswersConcurrentClients) {
 class LoopbackClusterTest : public ::testing::Test {
  protected:
   static constexpr std::size_t kN = 5;
-  static constexpr std::size_t kF = 1;
-  static constexpr std::size_t kD = 2;
   static constexpr double kEps = 0.25;
 
   void SetUp() override {
@@ -162,86 +159,24 @@ class LoopbackClusterTest : public ::testing::Test {
                                  static_cast<unsigned>(
                                      reinterpret_cast<std::uintptr_t>(this))));
     fs::create_directories(trace_dir_);
-    hub_ = std::make_unique<LoopbackHub>(kN);
-    for (std::size_t i = 0; i < kN; ++i) {
-      endpoints_.push_back(hub_->endpoint(i));
-      runtimes_.push_back(make_runtime(i, /*epoch=*/0));
-    }
+    cluster_ = std::make_unique<LoopbackCluster>(kN, trace_dir_.string());
   }
 
   void TearDown() override {
-    runtimes_.clear();
-    endpoints_.clear();
+    cluster_.reset();
     std::error_code ec;
     fs::remove_all(trace_dir_, ec);
   }
 
-  std::unique_ptr<NodeRuntime> make_runtime(std::size_t id,
-                                            std::uint32_t epoch) {
-    NodeConfig cfg;
-    cfg.id = id;
-    cfg.n = kN;
-    cfg.epoch = epoch;
-    cfg.time_scale = 1e-3;  // fast wall clock for tests
-    cfg.trace_dir = trace_dir_.string();
-    return std::make_unique<NodeRuntime>(cfg, *endpoints_[id]);
-  }
-
   InstanceSpec make_spec(std::uint64_t iid, std::uint64_t seed) {
-    const core::Workload w = core::make_workload(
-        kN, kF, kD, core::InputPattern::kUniform, seed);
-    InstanceSpec spec;
-    spec.id = iid;
-    spec.cc.n = kN;
-    spec.cc.f = kF;
-    spec.cc.d = kD;
-    spec.cc.eps = kEps;
-    spec.cc.input_magnitude = std::max(1.0, w.correct_magnitude);
-    spec.seed = seed;
-    spec.inputs = w.inputs;
-    spec.faulty = w.faulty;
-    return spec;
-  }
-
-  /// Starts one stepping thread per runtime; each runs until every live
-  /// node has decided `iid` (decided nodes keep stepping — peers still
-  /// need their store/ack traffic). Returns false on timeout.
-  bool run_until_all_decide(std::uint64_t iid, int timeout_sec) {
-    const std::size_t live = runtimes_.size();
-    std::atomic<std::size_t> decided{0};
-    std::atomic<bool> give_up{false};
-    std::vector<std::thread> threads;
-    for (auto& rt : runtimes_) {
-      NodeRuntime* node = rt.get();
-      threads.emplace_back([&, node] {
-        bool counted = false;
-        while (decided.load() < live && !give_up.load()) {
-          node->step(1);
-          if (!counted && node->status(iid).decided) {
-            counted = true;
-            decided.fetch_add(1);
-          }
-        }
-      });
-    }
-    const auto dl = Clock::now() + std::chrono::seconds(timeout_sec);
-    while (decided.load() < live && !deadline_passed(dl)) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    give_up.store(true);
-    for (auto& t : threads) t.join();
-    return decided.load() == live;
+    return make_instance_spec(kN, /*f=*/1, /*d=*/2, kEps, iid, seed);
   }
 
   void expect_agreement(std::uint64_t iid) {
-    std::vector<geo::Polytope> decisions;
-    for (auto& rt : runtimes_) {
-      const auto st = rt->status(iid);
-      ASSERT_TRUE(st.decided);
-      ASSERT_FALSE(st.decision.empty());
-      decisions.push_back(geo::Polytope::from_points(st.decision));
-    }
+    const std::vector<geo::Polytope> decisions = cluster_->decisions(iid);
+    ASSERT_EQ(decisions.size(), kN);
     for (std::size_t a = 0; a + 1 < decisions.size(); ++a) {
+      ASSERT_FALSE(decisions[a].is_empty());
       for (std::size_t b = a + 1; b < decisions.size(); ++b) {
         EXPECT_LE(geo::hausdorff(decisions[a], decisions[b]), kEps + 1e-9)
             << "nodes " << a << " and " << b << " disagree";
@@ -250,34 +185,28 @@ class LoopbackClusterTest : public ::testing::Test {
   }
 
   fs::path trace_dir_;
-  std::unique_ptr<LoopbackHub> hub_;
-  std::vector<std::unique_ptr<Transport>> endpoints_;
-  std::vector<std::unique_ptr<NodeRuntime>> runtimes_;
+  std::unique_ptr<LoopbackCluster> cluster_;
 };
 
 TEST_F(LoopbackClusterTest, FiveNodesDecideThenSurviveCrashRestart) {
   // Wave 1: plain run to decision on all five nodes.
-  const InstanceSpec i1 = make_spec(1, 11);
-  for (auto& rt : runtimes_) rt->start_instance(i1);
-  ASSERT_TRUE(run_until_all_decide(1, 60)) << "wave 1 stalled";
+  cluster_->start_instance(make_spec(1, 11));
+  ASSERT_TRUE(cluster_->run_until_all_decide(1, 60)) << "wave 1 stalled";
   expect_agreement(1);
 
   // Crash node 0: endpoint destruction closes its mailbox, exactly like a
   // dead TCP peer. Restart as epoch 1 with an empty queue.
-  runtimes_[0].reset();
-  endpoints_[0].reset();
-  endpoints_[0] = hub_->endpoint(0);
-  runtimes_[0] = make_runtime(0, /*epoch=*/1);
+  cluster_->restart(0, /*epoch=*/1);
 
   // Wave 2: a fresh instance submitted to everyone, including the
   // restarted incarnation — full-rejoin proof.
-  const InstanceSpec i2 = make_spec(2, 12);
-  for (auto& rt : runtimes_) rt->start_instance(i2);
-  ASSERT_TRUE(run_until_all_decide(2, 60)) << "wave 2 stalled after restart";
+  cluster_->start_instance(make_spec(2, 12));
+  ASSERT_TRUE(cluster_->run_until_all_decide(2, 60))
+      << "wave 2 stalled after restart";
   expect_agreement(2);
 
   // Clean shutdown, then every per-node trace must pass the checker.
-  for (auto& rt : runtimes_) rt->shutdown();
+  for (std::size_t i = 0; i < kN; ++i) cluster_->node(i).shutdown();
   std::size_t checked = 0;
   for (const auto& entry : fs::directory_iterator(trace_dir_)) {
     if (entry.path().extension() != ".jsonl") continue;
@@ -293,6 +222,59 @@ TEST_F(LoopbackClusterTest, FiveNodesDecideThenSurviveCrashRestart) {
   // No: instance 2 started after the restart, so node 0 wrote e1 only.
   // Wave 1 on node 0 is an e0 trace cut off by the crash.
   EXPECT_EQ(checked, 10u);
+}
+
+TEST(AdversaryFuzz, ShimmedCcOnNodeRuntime) {
+  // Algorithm CC on real threads over a lossy network: every link drops
+  // and duplicates frames, and the incorrect-input node is killed once it
+  // has finished round 1. The survivors' reliable shims absorb the faults;
+  // their decisions must satisfy validity and eps-agreement.
+  InstanceSpec spec;
+  spec.id = 1;
+  spec.cc = core::CCConfig{.n = 5, .f = 1, .d = 2, .eps = 0.15};
+  spec.inputs = {geo::Vec{0.0, 0.0}, geo::Vec{1.0, 0.0}, geo::Vec{0.0, 1.0},
+                 geo::Vec{1.0, 1.0}, geo::Vec{1.8, 1.9}};
+  constexpr std::size_t kIncorrect = 4;
+  spec.faulty = {kIncorrect};
+  const geo::Polytope correct_hull = geo::Polytope::from_points(
+      {spec.inputs[0], spec.inputs[1], spec.inputs[2], spec.inputs[3]});
+  net::PolicySchedule lossy;
+  lossy.add(0.0, net::NetworkPolicy::lossy(0.2, 0.05));
+
+  for (std::uint64_t seed : {101u, 202u, 303u}) {
+    spec.seed = seed;
+    LoopbackCluster cluster(spec.cc.n);
+    cluster.arm(lossy, seed);
+    cluster.start_instance(spec);
+    ASSERT_TRUE(cluster.step_until(
+        [](std::size_t i, NodeRuntime& node) {
+          return i != kIncorrect || node.status(1).round >= 1;
+        },
+        60))
+        << "seed " << seed << ": node " << kIncorrect
+        << " never finished round 1";
+    cluster.crash(kIncorrect);
+    ASSERT_TRUE(cluster.run_until_all_decide(1, 60))
+        << "seed " << seed
+        << ": processes did not decide over the lossy network";
+
+    std::uint64_t drops = 0;
+    for (std::size_t i = 0; i < kIncorrect; ++i) {
+      drops += cluster.link(i).stats().injected_drops;
+    }
+    EXPECT_GT(drops, 0u) << "seed " << seed;
+    const std::vector<geo::Polytope> decisions = cluster.decisions(1);
+    ASSERT_EQ(decisions.size(), kIncorrect) << "seed " << seed;
+    for (const auto& dec : decisions) {
+      EXPECT_TRUE(correct_hull.contains(dec, 1e-6)) << "seed " << seed;
+    }
+    for (std::size_t a = 0; a < decisions.size(); ++a) {
+      for (std::size_t b = a + 1; b < decisions.size(); ++b) {
+        EXPECT_LT(geo::hausdorff(decisions[a], decisions[b]), spec.cc.eps)
+            << "seed " << seed;
+      }
+    }
+  }
 }
 
 }  // namespace

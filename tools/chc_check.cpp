@@ -9,14 +9,12 @@
 // traces through core/replay.hpp, Byzantine (protocol=bcc) traces through
 // bcc/replay.hpp. Exit code: 0 = all traces accepted, 1 = at least one
 // rejected or diverged, 2 = usage / unreadable input.
-#include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bcc/replay.hpp"
+#include "common/cli.hpp"
 #include "core/replay.hpp"
 #include "obs/checker.hpp"
 
@@ -32,49 +30,6 @@ void usage() {
          "                      a byte-identical trace\n";
 }
 
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Same contract for real-valued options: the whole value must parse.
-double parse_real(const std::string& opt, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (val.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << opt << " needs a finite number, got '" << val << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-std::string next_value(int argc, char** argv, int& i) {
-  if (i + 1 >= argc) {
-    std::cerr << argv[i] << " needs a value\n";
-    usage();
-    std::exit(2);
-  }
-  return argv[++i];
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -82,23 +37,18 @@ int main(int argc, char** argv) {
   bool replay = false;
   std::vector<std::string> files;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--tol") {
-      opts.tol = parse_real(arg, next_value(argc, argv, i));
-    } else if (arg == "--max-violations") {
-      opts.max_violations = parse_count(arg, next_value(argc, argv, i));
-    } else if (arg == "--replay") {
+  chc::cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--tol")) {
+      opts.tol = args.real();
+    } else if (args.is("--max-violations")) {
+      opts.max_violations = args.count();
+    } else if (args.is("--replay")) {
       replay = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
+    } else if (args.arg().empty() || args.arg()[0] != '-') {
+      files.push_back(args.arg());
     } else {
-      files.push_back(arg);
+      args.unknown();
     }
   }
   if (files.empty()) {

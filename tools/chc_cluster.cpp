@@ -61,6 +61,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "core/workload.hpp"
 #include "geometry/polytope.hpp"
@@ -94,40 +95,6 @@ void usage() {
          "                   [--nemesis NAME|all] [--list-nemesis]\n"
          "                   [--fuzz CYCLES] [--soak-minutes M]\n"
          "nemesis presets fix --nodes/--f/--d/--eps; see --list-nemesis\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Same contract for real-valued options: the whole value must parse.
-double parse_real(const std::string& opt, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (val.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << opt << " needs a finite number, got '" << val << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 double mono_now() {
@@ -623,46 +590,29 @@ double mean_of(const std::vector<SoakSample>& v, std::size_t begin,
 
 int main(int argc, char** argv) {
   Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--nodes") opt.nodes = parse_count(arg, next());
-    else if (arg == "--f") opt.f = parse_count(arg, next());
-    else if (arg == "--d") opt.d = parse_count(arg, next());
-    else if (arg == "--eps") opt.eps = parse_real(arg, next());
-    else if (arg == "--instances") opt.instances = parse_count(arg, next());
-    else if (arg == "--seed") opt.seed = parse_count(arg, next());
-    else if (arg == "--trace-dir") opt.trace_dir = next();
-    else if (arg == "--node-bin") opt.node_bin = next();
-    else if (arg == "--no-kill") opt.kill = false;
-    else if (arg == "--soak") opt.soak = parse_real(arg, next());
-    else if (arg == "--timeout") opt.timeout = parse_real(arg, next());
-    else if (arg == "--time-scale") {
-      opt.time_scale = parse_real(arg, next());
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--nodes")) opt.nodes = args.count();
+    else if (args.is("--f")) opt.f = args.count();
+    else if (args.is("--d")) opt.d = args.count();
+    else if (args.is("--eps")) opt.eps = args.real();
+    else if (args.is("--instances")) opt.instances = args.count();
+    else if (args.is("--seed")) opt.seed = args.count();
+    else if (args.is("--trace-dir")) opt.trace_dir = args.value();
+    else if (args.is("--node-bin")) opt.node_bin = args.value();
+    else if (args.is("--no-kill")) opt.kill = false;
+    else if (args.is("--soak")) opt.soak = args.real();
+    else if (args.is("--timeout")) opt.timeout = args.real();
+    else if (args.is("--time-scale")) {
+      opt.time_scale = args.positive();
       opt.time_scale_set = true;
     }
-    else if (arg == "--report") opt.report = next();
-    else if (arg == "--nemesis") opt.nemesis = next();
-    else if (arg == "--list-nemesis") opt.list_nemesis = true;
-    else if (arg == "--fuzz") opt.fuzz = parse_count(arg, next());
-    else if (arg == "--soak-minutes") {
-      opt.soak_minutes = parse_real(arg, next());
-    }
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
-    }
+    else if (args.is("--report")) opt.report = args.value();
+    else if (args.is("--nemesis")) opt.nemesis = args.value();
+    else if (args.is("--list-nemesis")) opt.list_nemesis = true;
+    else if (args.is("--fuzz")) opt.fuzz = args.count();
+    else if (args.is("--soak-minutes")) opt.soak_minutes = args.real();
+    else args.unknown();
   }
   if (opt.list_nemesis) {
     for (const nemesis::LivePreset& p : nemesis::live_presets()) {

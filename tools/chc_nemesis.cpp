@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "nemesis/presets.hpp"
 #include "nemesis/runner.hpp"
 #include "obs/metrics.hpp"
@@ -36,28 +37,6 @@ void usage() {
                "              [--report FILE]\n"
                "  chc_nemesis --fuzz N [--seed BASE] [--out-dir DIR]\n"
                "              [--report FILE]\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 void write_trace(const nemesis::ScenarioResult& r, const std::string& path) {
@@ -89,31 +68,17 @@ int main(int argc, char** argv) {
   std::size_t fuzz = 0;
   bool list = false, all = false;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--list") list = true;
-    else if (arg == "--all") all = true;
-    else if (arg == "--preset") preset_name = next();
-    else if (arg == "--seed") seed = parse_count(arg, next());
-    else if (arg == "--fuzz") fuzz = parse_count(arg, next());
-    else if (arg == "--out") out = next();
-    else if (arg == "--out-dir") out_dir = next();
-    else if (arg == "--report") report = next();
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
-    }
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--list")) list = true;
+    else if (args.is("--all")) all = true;
+    else if (args.is("--preset")) preset_name = args.value();
+    else if (args.is("--seed")) seed = args.count();
+    else if (args.is("--fuzz")) fuzz = args.count();
+    else if (args.is("--out")) out = args.value();
+    else if (args.is("--out-dir")) out_dir = args.value();
+    else if (args.is("--report")) report = args.value();
+    else args.unknown();
   }
 
   if (list) {

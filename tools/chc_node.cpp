@@ -39,12 +39,12 @@
 // flushed and sockets closed, so only SIGKILL produces torn trace tails.
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "obs/metrics.hpp"
 #include "transport/faulty.hpp"
 #include "transport/node.hpp"
@@ -84,58 +84,46 @@ std::vector<std::string> split_ws(const std::string& line) {
   return out;
 }
 
-bool parse_u64(const std::string& s, std::uint64_t& out) {
-  if (s.empty()) return false;
-  out = 0;
-  for (char ch : s) {
-    if (ch < '0' || ch > '9' || out > (UINT64_MAX - 9) / 10) return false;
-    out = out * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  return true;
-}
-
-bool parse_f64(const std::string& s, double& out) {
-  char* end = nullptr;
-  out = std::strtod(s.c_str(), &end);
-  return end != nullptr && *end == '\0' && !s.empty();
-}
-
 /// SUBMIT argument vector -> InstanceSpec. Returns an error string, empty
 /// on success.
 std::string parse_submit(const std::vector<std::string>& tok,
                          transport::InstanceSpec& spec) {
   // SUBMIT iid n f d eps seed magnitude nf faulty... coords...
   if (tok.size() < 9) return "SUBMIT needs at least 8 arguments";
-  std::uint64_t n = 0, f = 0, d = 0, nf = 0;
-  double eps = 0.0, mag = 0.0;
-  if (!parse_u64(tok[1], spec.id) || !parse_u64(tok[2], n) ||
-      !parse_u64(tok[3], f) || !parse_u64(tok[4], d) ||
-      !parse_f64(tok[5], eps) || !parse_u64(tok[6], spec.seed) ||
-      !parse_f64(tok[7], mag) || !parse_u64(tok[8], nf)) {
+  const auto iid = cli::parse_count(tok[1]), n = cli::parse_count(tok[2]),
+             f = cli::parse_count(tok[3]), d = cli::parse_count(tok[4]),
+             seed = cli::parse_count(tok[6]), nf = cli::parse_count(tok[8]);
+  const auto eps = cli::parse_real(tok[5]), mag = cli::parse_real(tok[7]);
+  if (!iid || !n || !f || !d || !eps || !seed || !mag || !nf) {
     return "malformed SUBMIT scalar";
   }
-  if (n == 0 || n > 64 || d == 0 || d > 8 || eps <= 0.0 || mag <= 0.0) {
+  if (*n == 0 || *n > 64 || *d == 0 || *d > 8 || *eps <= 0.0 ||
+      *mag <= 0.0) {
     return "implausible instance parameters";
   }
-  const std::size_t want = 9 + nf + n * d;
+  const std::size_t want = 9 + *nf + *n * *d;
   if (tok.size() != want) return "SUBMIT argument count mismatch";
-  spec.cc.n = n;
-  spec.cc.f = f;
-  spec.cc.d = d;
-  spec.cc.eps = eps;
-  spec.cc.input_magnitude = mag;
+  spec.id = *iid;
+  spec.seed = *seed;
+  spec.cc.n = *n;
+  spec.cc.f = *f;
+  spec.cc.d = *d;
+  spec.cc.eps = *eps;
+  spec.cc.input_magnitude = *mag;
   spec.faulty.clear();
-  for (std::uint64_t i = 0; i < nf; ++i) {
-    std::uint64_t p = 0;
-    if (!parse_u64(tok[9 + i], p) || p >= n) return "bad faulty id";
-    spec.faulty.push_back(p);
+  for (std::uint64_t i = 0; i < *nf; ++i) {
+    const auto p = cli::parse_count(tok[9 + i]);
+    if (!p || *p >= *n) return "bad faulty id";
+    spec.faulty.push_back(*p);
   }
   spec.inputs.clear();
-  std::size_t at = 9 + nf;
-  for (std::uint64_t p = 0; p < n; ++p) {
-    geo::Vec v(d);
-    for (std::uint64_t k = 0; k < d; ++k) {
-      if (!parse_f64(tok[at++], v[k])) return "bad input coordinate";
+  std::size_t at = 9 + *nf;
+  for (std::uint64_t p = 0; p < *n; ++p) {
+    geo::Vec v(*d);
+    for (std::uint64_t k = 0; k < *d; ++k) {
+      const auto x = cli::parse_real(tok[at++]);
+      if (!x) return "bad input coordinate";
+      v[k] = *x;
     }
     spec.inputs.push_back(std::move(v));
   }
@@ -216,46 +204,25 @@ std::string format_status(const transport::NodeRuntime::InstanceStatus& s) {
 
 int main(int argc, char** argv) {
   std::uint64_t id = UINT64_MAX;
-  std::uint64_t epoch = 0;
+  std::uint32_t epoch = 0;
   std::uint64_t client_port = 0;
   double time_scale = 2e-3;
   double clock_rate = 1.0;
   std::string cluster_spec;
   std::string trace_dir;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        usage();
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    bool ok = true;
-    if (arg == "--id") ok = parse_u64(next(), id);
-    else if (arg == "--cluster") cluster_spec = next();
-    else if (arg == "--client-port") ok = parse_u64(next(), client_port);
-    else if (arg == "--epoch") ok = parse_u64(next(), epoch);
-    else if (arg == "--trace-dir") trace_dir = next();
-    else if (arg == "--time-scale") ok = parse_f64(next(), time_scale);
-    else if (arg == "--clock-rate") {
-      ok = parse_f64(next(), clock_rate) && clock_rate > 0.0;
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--id")) id = args.count();
+    else if (args.is("--cluster")) cluster_spec = args.value();
+    else if (args.is("--client-port")) client_port = args.count(65535);
+    else if (args.is("--epoch")) {
+      epoch = static_cast<std::uint32_t>(args.count(UINT32_MAX));
     }
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
-    }
-    if (!ok || client_port > 65535) {
-      std::cerr << "bad value for " << arg << "\n";
-      usage();
-      return 2;
-    }
+    else if (args.is("--trace-dir")) trace_dir = args.value();
+    else if (args.is("--time-scale")) time_scale = args.positive();
+    else if (args.is("--clock-rate")) clock_rate = args.positive();
+    else args.unknown();
   }
 
   std::string err;
@@ -275,13 +242,12 @@ int main(int argc, char** argv) {
   install_signal_handlers();
 
   try {
-    transport::TcpTransport tcp(id, cluster,
-                                static_cast<std::uint32_t>(epoch));
+    transport::TcpTransport tcp(id, cluster, epoch);
     transport::FaultyTransport faulty(tcp);
     transport::NodeConfig ncfg;
     ncfg.id = id;
     ncfg.n = cluster.size();
-    ncfg.epoch = static_cast<std::uint32_t>(epoch);
+    ncfg.epoch = epoch;
     ncfg.time_scale = time_scale;
     ncfg.clock_rate = clock_rate;
     ncfg.trace_dir = trace_dir;
@@ -312,9 +278,9 @@ int main(int argc, char** argv) {
         return "OK";
       }
       if (tok[0] == "STATUS" && tok.size() == 2) {
-        std::uint64_t iid = 0;
-        if (!parse_u64(tok[1], iid)) return "ERR bad instance id";
-        return format_status(node.status(iid));
+        const auto iid = cli::parse_count(tok[1]);
+        if (!iid) return "ERR bad instance id";
+        return format_status(node.status(*iid));
       }
       if (tok[0] == "STATUS" && tok.size() == 1) {
         return collect_counters(tcp, faulty, node).to_stats_line();

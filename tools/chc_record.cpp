@@ -10,14 +10,13 @@
 // (tests/net/adversary_fuzz_test.cpp): drop in [0.02, 0.30], dup in
 // [0, 0.10], reorder in [0, 0.20], random crash style and delay regime,
 // always shimmed so every execution decides.
-#include <cmath>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "common/rng.hpp"
 #include "core/lossy.hpp"
 #include "core/report.hpp"
@@ -38,40 +37,6 @@ void usage() {
          "             [--drop P --dup P --reorder P] [--unreliable]\n"
          "             [--report FILE]\n"
          "  chc_record --fuzz N --out-dir DIR [--seed BASE]\n";
-}
-
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Same contract for real-valued options: the whole value must parse.
-double parse_real(const std::string& opt, const std::string& val) {
-  char* end = nullptr;
-  const double v = std::strtod(val.c_str(), &end);
-  if (val.empty() || end == nullptr || *end != '\0' || !std::isfinite(v)) {
-    std::cerr << opt << " needs a finite number, got '" << val << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
 }
 
 struct Cli {
@@ -163,55 +128,41 @@ int main(int argc, char** argv) {
   Cli cli;
   cli.lc.base.cc = core::CCConfig{.n = 5, .f = 1, .d = 2, .eps = 0.15};
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--out") cli.out = next();
-    else if (arg == "--out-dir") cli.out_dir = next();
-    else if (arg == "--report") cli.report = next();
-    else if (arg == "--preset") cli.preset = next();
-    else if (arg == "--seed") cli.seed = parse_count(arg, next());
-    else if (arg == "--fuzz") cli.fuzz = parse_count(arg, next());
-    else if (arg == "--n") cli.lc.base.cc.n = parse_count(arg, next());
-    else if (arg == "--f") cli.lc.base.cc.f = parse_count(arg, next());
-    else if (arg == "--d") cli.lc.base.cc.d = parse_count(arg, next());
-    else if (arg == "--eps") cli.lc.base.cc.eps = parse_real(arg, next());
-    else if (arg == "--crash") {
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--out")) cli.out = args.value();
+    else if (args.is("--out-dir")) cli.out_dir = args.value();
+    else if (args.is("--report")) cli.report = args.value();
+    else if (args.is("--preset")) cli.preset = args.value();
+    else if (args.is("--seed")) cli.seed = args.count();
+    else if (args.is("--fuzz")) cli.fuzz = args.count();
+    else if (args.is("--n")) cli.lc.base.cc.n = args.count();
+    else if (args.is("--f")) cli.lc.base.cc.f = args.count();
+    else if (args.is("--d")) cli.lc.base.cc.d = args.count();
+    else if (args.is("--eps")) cli.lc.base.cc.eps = args.real();
+    else if (args.is("--crash")) {
       cli.have_crash = true;
-      if (!parse_crash(next(), cli.lc.base.crash_style)) {
-        std::cerr << "bad --crash value\n";
-        return 2;
+      if (!parse_crash(args.value(), cli.lc.base.crash_style)) {
+        args.fail("bad --crash value");
       }
-    } else if (arg == "--delay") {
+    } else if (args.is("--delay")) {
       cli.have_delay = true;
-      if (!parse_delay(next(), cli.lc.base.delay)) {
-        std::cerr << "bad --delay value\n";
-        return 2;
+      if (!parse_delay(args.value(), cli.lc.base.delay)) {
+        args.fail("bad --delay value");
       }
-    } else if (arg == "--drop") {
+    } else if (args.is("--drop")) {
       cli.have_policy = true;
-      cli.lc.policy.link.drop_rate = parse_real(arg, next());
-    } else if (arg == "--dup") {
+      cli.lc.policy.link.drop_rate = args.real();
+    } else if (args.is("--dup")) {
       cli.have_policy = true;
-      cli.lc.policy.link.dup_rate = parse_real(arg, next());
-    } else if (arg == "--reorder") {
+      cli.lc.policy.link.dup_rate = args.real();
+    } else if (args.is("--reorder")) {
       cli.have_policy = true;
-      cli.lc.policy.link.reorder_rate = parse_real(arg, next());
-    } else if (arg == "--unreliable") {
+      cli.lc.policy.link.reorder_rate = args.real();
+    } else if (args.is("--unreliable")) {
       cli.unreliable = true;
-    } else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
     } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
+      args.unknown();
     }
   }
 

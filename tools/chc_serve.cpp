@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cli.hpp"
 #include "core/lossy.hpp"
 #include "net/policy.hpp"
 #include "obs/metrics.hpp"
@@ -68,28 +69,6 @@ svc::InstanceSpec make_spec(const std::string& preset, std::uint64_t i,
   return spec;
 }
 
-/// Strict numeric argument parsing: the whole value must be digits.
-/// std::stoul alone would throw an uncaught exception on garbage (or
-/// silently accept "5x"), turning a typo into a crash instead of usage.
-std::uint64_t parse_count(const std::string& opt, const std::string& val) {
-  std::uint64_t v = 0;
-  bool ok = !val.empty();
-  for (char ch : val) {
-    if (ch < '0' || ch > '9' || v > (UINT64_MAX - 9) / 10) {
-      ok = false;
-      break;
-    }
-    v = v * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  if (!ok) {
-    std::cerr << opt << " needs a non-negative integer, got '" << val
-              << "'\n";
-    usage();
-    std::exit(2);
-  }
-  return v;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,30 +80,16 @@ int main(int argc, char** argv) {
   std::string trace_dir;
   std::string report;
 
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> std::string {
-      if (i + 1 >= argc) {
-        std::cerr << arg << " needs a value\n";
-        std::exit(2);
-      }
-      return argv[++i];
-    };
-    if (arg == "--instances") instances = parse_count(arg, next());
-    else if (arg == "--shards") shards = parse_count(arg, next());
-    else if (arg == "--queue") queue = parse_count(arg, next());
-    else if (arg == "--seed") seed_base = parse_count(arg, next());
-    else if (arg == "--preset") preset = next();
-    else if (arg == "--trace-dir") trace_dir = next();
-    else if (arg == "--report") report = next();
-    else if (arg == "--help" || arg == "-h") {
-      usage();
-      return 0;
-    } else {
-      std::cerr << "unknown option: " << arg << "\n";
-      usage();
-      return 2;
-    }
+  cli::Args args(argc, argv, usage);
+  while (args.next()) {
+    if (args.is("--instances")) instances = args.count();
+    else if (args.is("--shards")) shards = args.count();
+    else if (args.is("--queue")) queue = args.count();
+    else if (args.is("--seed")) seed_base = args.count();
+    else if (args.is("--preset")) preset = args.value();
+    else if (args.is("--trace-dir")) trace_dir = args.value();
+    else if (args.is("--report")) report = args.value();
+    else args.unknown();
   }
   if (preset != "default" && preset != "crash" && preset != "lossy" &&
       preset != "mixed") {

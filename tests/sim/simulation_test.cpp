@@ -153,33 +153,53 @@ class CutLink final : public LinkFaultModel {
 };
 
 TEST(Simulation, CrashAfterSendsTruncatesBroadcast) {
-  // Process 0 broadcasts to 5 others but crashes after 2 sends: only the
-  // first two ids (1, 2) can receive it — the mid-broadcast partial
-  // delivery. Over a lossy network the send budget is spent before the
-  // injector decides, so still exactly two sends are accepted: here the
-  // first is dropped and the second delivered.
-  for (const bool lossy : {false, true}) {
-    SCOPED_TRACE(lossy ? "lossy" : "reliable");
-    const std::size_t n = 6;
-    std::vector<Recorder::Log> logs(n);
-    CrashSchedule cs;
-    cs.set(0, CrashPlan::after(2));
-    Simulation sim(n, 11, std::make_unique<UniformDelay>(0.1, 1.0), cs);
-    if (lossy) sim.set_fault_model(std::make_unique<CutLink>());
-    for (std::size_t p = 0; p < n; ++p) {
-      sim.add_process(std::make_unique<Recorder>(&logs[p], p == 0));
-    }
-    const auto rr = sim.run();
-    EXPECT_TRUE(sim.crashed(0));
-    EXPECT_EQ(sim.sends_of(0), 2u);
-    EXPECT_EQ(rr.stats.messages_sent, 2u);
-    EXPECT_EQ(rr.stats.net_dropped, lossy ? 1u : 0u);
-    EXPECT_EQ(rr.stats.messages_delivered + rr.stats.net_dropped, 2u);
-    EXPECT_EQ(logs[1].deliveries.size(), lossy ? 0u : 1u);
-    EXPECT_EQ(logs[2].deliveries.size(), 1u);
-    for (std::size_t p = 3; p < n; ++p) {
-      EXPECT_EQ(logs[p].deliveries.size(), 0u) << "process " << p;
-    }
+  // Process 0 broadcasts to 5 others but crashes after 2 sends: exactly the
+  // first two ids (1, 2) receive it — the mid-broadcast partial delivery.
+  const std::size_t n = 6;
+  std::vector<Recorder::Log> logs(n);
+  CrashSchedule cs;
+  cs.set(0, CrashPlan::after(2));
+  Simulation sim(n, 11, std::make_unique<UniformDelay>(0.1, 1.0), cs);
+  for (std::size_t p = 0; p < n; ++p) {
+    sim.add_process(std::make_unique<Recorder>(&logs[p], p == 0));
+  }
+  const auto rr = sim.run();
+  EXPECT_TRUE(sim.crashed(0));
+  EXPECT_EQ(sim.sends_of(0), 2u);
+  EXPECT_EQ(rr.stats.messages_sent, 2u);
+  EXPECT_EQ(rr.stats.net_dropped, 0u);
+  EXPECT_EQ(logs[1].deliveries.size(), 1u);
+  EXPECT_EQ(logs[2].deliveries.size(), 1u);
+  for (std::size_t p = 3; p < n; ++p) {
+    EXPECT_EQ(logs[p].deliveries.size(), 0u) << "process " << p;
+  }
+}
+
+TEST(Simulation, MidBroadcastCrashUnderMessageLoss) {
+  // Combined adversary: the broadcaster crashes after two wire sends AND
+  // the network loses messages. The send budget is spent before the
+  // injector decides, so still exactly two sends are accepted, and every
+  // accepted send is either delivered or counted as dropped: here the
+  // first (to 1) is dropped and the second (to 2) delivered.
+  const std::size_t n = 6;
+  std::vector<Recorder::Log> logs(n);
+  CrashSchedule cs;
+  cs.set(0, CrashPlan::after(2));
+  Simulation sim(n, 11, std::make_unique<UniformDelay>(0.1, 1.0), cs);
+  sim.set_fault_model(std::make_unique<CutLink>());
+  for (std::size_t p = 0; p < n; ++p) {
+    sim.add_process(std::make_unique<Recorder>(&logs[p], p == 0));
+  }
+  const auto rr = sim.run();
+  EXPECT_TRUE(sim.crashed(0));
+  EXPECT_EQ(sim.sends_of(0), 2u);
+  EXPECT_EQ(rr.stats.messages_sent, 2u);
+  EXPECT_EQ(rr.stats.net_dropped, 1u);
+  EXPECT_EQ(rr.stats.messages_delivered + rr.stats.net_dropped, 2u);
+  EXPECT_EQ(logs[1].deliveries.size(), 0u);
+  EXPECT_EQ(logs[2].deliveries.size(), 1u);
+  for (std::size_t p = 3; p < n; ++p) {
+    EXPECT_EQ(logs[p].deliveries.size(), 0u) << "process " << p;
   }
 }
 

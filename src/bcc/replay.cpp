@@ -5,6 +5,9 @@
 #include <set>
 #include <utility>
 
+#include "common/check.hpp"
+#include "core/replay.hpp"
+
 namespace chc::bcc {
 
 namespace {
@@ -14,7 +17,32 @@ bool fail(std::string* error, const std::string& msg) {
   return false;
 }
 
+bool cc_config_from_header(const obs::TraceHeader& h, ByzRunConfig* bc,
+                           core::Workload* w, std::string* error) {
+  ByzRunConfig out;
+  if (!core::config_from_header(h, &out.lossy, w, error)) return false;
+  if (bc != nullptr) *bc = std::move(out);
+  return true;
+}
+
+core::LossyRunOutput run_cc(const ByzRunConfig& bc, const core::Workload& w) {
+  CHC_CHECK(bc.behaviors.empty(), "a cc run has no byzantine behaviors");
+  return core::run_cc_lossy_custom(bc.lossy, w);
+}
+
+const Protocol kProtocols[] = {
+    {"cc", cc_config_from_header, run_cc},
+    {"bcc", byz_config_from_header, run_bcc_custom},
+};
+
 }  // namespace
+
+const Protocol* find_protocol(std::string_view name) {
+  for (const Protocol& p : kProtocols) {
+    if (p.name == name) return &p;
+  }
+  return nullptr;
+}
 
 bool byz_config_from_header(const obs::TraceHeader& h, ByzRunConfig* bc,
                             core::Workload* w, std::string* error) {
@@ -51,8 +79,8 @@ bool byz_config_from_header(const obs::TraceHeader& h, ByzRunConfig* bc,
   return true;
 }
 
-core::ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
-  core::ReplayResult r;
+ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
+  ReplayResult r;
   if (lines.empty()) {
     r.error = "empty trace";
     return r;
@@ -63,9 +91,14 @@ core::ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
     r.error = "header: " + error;
     return r;
   }
+  const Protocol* protocol = find_protocol(header.protocol);
+  if (protocol == nullptr) {
+    r.error = "no harness runs protocol \"" + header.protocol + "\"";
+    return r;
+  }
   ByzRunConfig bc;
   core::Workload workload;
-  if (!byz_config_from_header(header, &bc, &workload, &error)) {
+  if (!protocol->from_header(header, &bc, &workload, &error)) {
     r.error = error;
     return r;
   }
@@ -73,7 +106,7 @@ core::ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
   obs::MemorySink sink;
   obs::Tracer tracer(&sink);
   bc.lossy.tracer = &tracer;
-  (void)run_bcc_custom(bc, workload);
+  (void)protocol->run(bc, workload);
   r.ran = true;
 
   const std::vector<std::string> replayed = sink.lines();
@@ -98,10 +131,10 @@ core::ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
   return r;
 }
 
-core::ReplayResult replay_trace_file(const std::string& path) {
+ReplayResult replay_trace_file(const std::string& path) {
   std::ifstream in(path);
   if (!in.is_open()) {
-    core::ReplayResult r;
+    ReplayResult r;
     r.error = "cannot open " + path;
     return r;
   }

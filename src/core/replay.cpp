@@ -1,7 +1,6 @@
 #include "core/replay.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
 
 namespace chc::core {
@@ -157,76 +156,6 @@ bool config_from_header(const obs::TraceHeader& h, LossyRunConfig* lc,
   if (lc != nullptr) *lc = std::move(out);
   if (w != nullptr) *w = std::move(workload);
   return true;
-}
-
-ReplayResult replay_trace_lines(const std::vector<std::string>& lines) {
-  ReplayResult r;
-  if (lines.empty()) {
-    r.error = "empty trace";
-    return r;
-  }
-  obs::TraceHeader header;
-  std::string error;
-  if (!obs::parse_header(lines[0], header, &error)) {
-    r.error = "header: " + error;
-    return r;
-  }
-  if (header.protocol != "cc") {
-    // Other protocols replay through their own module (bcc::replay_trace_
-    // lines for "bcc"); running them through the crash harness would
-    // silently produce a diverging trace instead of a diagnosis.
-    r.error = "protocol " + header.protocol +
-              " traces are not replayable by the crash-CC harness";
-    return r;
-  }
-  LossyRunConfig lc;
-  Workload workload;
-  if (!config_from_header(header, &lc, &workload, &error)) {
-    r.error = error;
-    return r;
-  }
-
-  obs::MemorySink sink;
-  obs::Tracer tracer(&sink);
-  lc.tracer = &tracer;
-  (void)run_cc_lossy_custom(lc, workload);
-  r.ran = true;
-
-  const std::vector<std::string> replayed = sink.lines();
-  r.original_lines = lines.size();
-  r.replayed_lines = replayed.size();
-  const std::size_t common = std::min(lines.size(), replayed.size());
-  for (std::size_t i = 0; i < common; ++i) {
-    if (lines[i] != replayed[i]) {
-      r.first_diff_line = i + 1;
-      r.expected = lines[i];
-      r.actual = replayed[i];
-      return r;
-    }
-  }
-  if (lines.size() != replayed.size()) {
-    r.first_diff_line = common + 1;
-    if (lines.size() > common) r.expected = lines[common];
-    if (replayed.size() > common) r.actual = replayed[common];
-    return r;
-  }
-  r.identical = true;
-  return r;
-}
-
-ReplayResult replay_trace_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.is_open()) {
-    ReplayResult r;
-    r.error = "cannot open " + path;
-    return r;
-  }
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  return replay_trace_lines(lines);
 }
 
 }  // namespace chc::core

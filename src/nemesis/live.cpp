@@ -2,28 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <utility>
 
 #include "common/check.hpp"
-#include "common/rng.hpp"
 
 namespace chc::nemesis {
-
-namespace {
-
-/// Non-faulty pids, ascending.
-std::vector<sim::ProcessId> others(const std::vector<sim::ProcessId>& faulty,
-                                   std::size_t n) {
-  std::vector<sim::ProcessId> out;
-  for (sim::ProcessId p = 0; p < n; ++p) {
-    bool is_faulty = false;
-    for (const sim::ProcessId q : faulty) is_faulty |= (p == q);
-    if (!is_faulty) out.push_back(p);
-  }
-  return out;
-}
-
-}  // namespace
 
 LivePlan compile_live(const Scenario& s, std::size_t n) {
   CHC_CHECK(s.storms().empty(),
@@ -69,236 +51,6 @@ LivePlan compile_live(const Scenario& s, std::size_t n) {
               return static_cast<int>(a.kind) < static_cast<int>(b.kind);
             });
   return plan;
-}
-
-namespace {
-
-std::vector<LivePreset> make_live_presets() {
-  std::vector<LivePreset> out;
-
-  {
-    LivePreset p;
-    p.name = "partition_heal";
-    p.description =
-        "symmetric partition {0,1} | rest active from submit, heals at "
-        "t=40; the minority stalls below quorum, then everyone decides";
-    p.build = [](const std::vector<sim::ProcessId>&, std::size_t) {
-      return Scenario{}.partition(0.0, 40.0, {0, 1});
-    };
-    out.push_back(std::move(p));
-  }
-  {
-    LivePreset p;
-    p.name = "asym_partition";
-    p.description =
-        "one-way cut: node 0's outbound links drop from submit to t=40 "
-        "while its inbound links stay up";
-    p.build = [](const std::vector<sim::ProcessId>&, std::size_t n) {
-      return Scenario{}.partition_one_way(0.0, 40.0, {0}, others({0}, n));
-    };
-    out.push_back(std::move(p));
-  }
-  {
-    LivePreset p;
-    p.name = "flapping_partition";
-    p.description =
-        "the {0,1} cut flaps with period 16 (8 open, 8 healed) until "
-        "t=64 — links that never settle; retransmission rides the gaps";
-    p.build = [](const std::vector<sim::ProcessId>&, std::size_t) {
-      return Scenario{}.partition_flapping(0.0, 64.0, 16.0, {0, 1});
-    };
-    out.push_back(std::move(p));
-  }
-  {
-    LivePreset p;
-    p.name = "rolling_partition";
-    p.description =
-        "each period-12 window isolates one node round-robin until t=60 "
-        "— the cut rolls around the whole ring";
-    p.build = [](const std::vector<sim::ProcessId>&, std::size_t) {
-      return Scenario{}.partition_rolling(0.0, 60.0, 12.0);
-    };
-    out.push_back(std::move(p));
-  }
-  {
-    LivePreset p;
-    p.name = "crash_recover_skew";
-    p.description =
-        "the faulty node is SIGKILLed at t=8 and restarted (epoch+1, "
-        "fresh state) at t=60 while one correct node runs its clock 1.5x "
-        "fast and another 0.6x slow — skewed RTOs misfire across nodes";
-    p.crash_count = 1;
-    p.build = [](const std::vector<sim::ProcessId>& faulty, std::size_t n) {
-      const std::vector<sim::ProcessId> ok = others(faulty, n);
-      Scenario s;
-      s.crash(faulty.at(0), 8.0).recover(faulty.at(0), 60.0);
-      s.clock_skew(ok.at(0), 1.5);
-      s.clock_skew(ok.at(1), 0.6);
-      return s;
-    };
-    out.push_back(std::move(p));
-  }
-  {
-    LivePreset p;
-    p.name = "pause_resume";
-    p.description =
-        "the faulty node freezes under SIGSTOP from t=4 to t=48 (no "
-        "state loss — unlike a crash its timers resume where they left "
-        "off) and still decides after the thaw";
-    p.crash_count = 1;
-    p.build = [](const std::vector<sim::ProcessId>& faulty, std::size_t) {
-      return Scenario{}.pause(faulty.at(0), 4.0, 48.0);
-    };
-    out.push_back(std::move(p));
-  }
-  {
-    LivePreset p;
-    p.name = "lossy_links";
-    p.description =
-        "every link drops 15%, duplicates 10% and reorders 20% of frames "
-        "for the whole run — the shim's retransmit/dedup does the work";
-    p.build = [](const std::vector<sim::ProcessId>&, std::size_t) {
-      return Scenario{}.base_policy(
-          net::NetworkPolicy::lossy(0.15, 0.10, 0.20));
-    };
-    out.push_back(std::move(p));
-  }
-  return out;
-}
-
-}  // namespace
-
-const std::vector<LivePreset>& live_presets() {
-  static const std::vector<LivePreset> kPresets = make_live_presets();
-  return kPresets;
-}
-
-const LivePreset* find_live_preset(const std::string& name) {
-  for (const LivePreset& p : live_presets()) {
-    if (p.name == name) return &p;
-  }
-  return nullptr;
-}
-
-LivePreset sample_live_preset(std::uint64_t seed) {
-  // Structure comes from this stream; inputs / faulty pids come from the
-  // workload seed the controller passes separately.
-  Rng rng(seed ^ 0x6C6976656E656D21ULL);  // "livenem!"
-
-  struct Ingredient {
-    int kind = 0;  // 0 sym, 1 one-way, 2 flap, 3 roll, 4 kill, 5 pause
-    double t0 = 0.0, t1 = 0.0, period = 0.0;
-    bool with_recovery = false;
-    std::vector<sim::ProcessId> side;
-  };
-
-  constexpr std::size_t kN = 5;
-  const auto n_elems = static_cast<std::size_t>(rng.uniform_int(1, 3));
-  std::vector<Ingredient> mix;
-  bool used_crash = false;
-  bool used_pause = false;
-  std::size_t crash_count = 0;
-  for (std::size_t i = 0; i < n_elems; ++i) {
-    Ingredient ing;
-    ing.kind = static_cast<int>(rng.uniform_int(0, 5));
-    // One process-level fault per run keeps the f=1 budget honest even
-    // when the pause lands on a node a cut also isolates.
-    if (ing.kind == 4 && (used_crash || used_pause)) ing.kind = 0;
-    if (ing.kind == 5 && (used_crash || used_pause)) ing.kind = 1;
-    switch (ing.kind) {
-      case 0:
-      case 1: {
-        ing.t0 = 0.0;
-        ing.t1 = rng.uniform(20.0, 56.0);
-        const auto k = static_cast<std::size_t>(rng.uniform_int(1, 2));
-        for (const std::size_t p : rng.sample_indices(kN, k)) {
-          ing.side.push_back(p);
-        }
-        break;
-      }
-      case 2: {
-        ing.t0 = 0.0;
-        ing.t1 = rng.uniform(32.0, 72.0);
-        ing.period = rng.uniform(10.0, 24.0);
-        const auto k = static_cast<std::size_t>(rng.uniform_int(1, 2));
-        for (const std::size_t p : rng.sample_indices(kN, k)) {
-          ing.side.push_back(p);
-        }
-        break;
-      }
-      case 3: {
-        ing.t0 = 0.0;
-        ing.t1 = rng.uniform(30.0, 60.0);
-        ing.period = rng.uniform(8.0, 16.0);
-        break;
-      }
-      case 4: {
-        used_crash = true;
-        crash_count = 1;
-        ing.t0 = rng.uniform(2.0, 12.0);
-        ing.with_recovery = rng.bernoulli(0.6);
-        ing.t1 = ing.t0 + rng.uniform(30.0, 50.0);
-        break;
-      }
-      case 5: {
-        used_pause = true;
-        crash_count = 1;  // target the workload-faulty node
-        ing.t0 = rng.uniform(0.0, 8.0);
-        ing.t1 = ing.t0 + rng.uniform(16.0, 40.0);
-        break;
-      }
-    }
-    mix.push_back(std::move(ing));
-  }
-  const bool lossy_base = rng.bernoulli(0.4);
-  const bool with_skew = rng.bernoulli(0.5);
-  const double skew_rate = rng.bernoulli(0.5) ? rng.uniform(1.2, 2.0)
-                                              : rng.uniform(0.5, 0.9);
-
-  LivePreset p;
-  p.name = "fuzz";
-  p.description = "seeded random composition of live cuts/kills/pauses/skew";
-  p.n = kN;
-  p.crash_count = crash_count;
-  p.build = [mix, lossy_base, with_skew,
-             skew_rate](const std::vector<sim::ProcessId>& faulty,
-                        std::size_t n) {
-    Scenario s;
-    if (lossy_base) {
-      s.base_policy(net::NetworkPolicy::lossy(0.10, 0.05, 0.10));
-    }
-    for (const Ingredient& ing : mix) {
-      switch (ing.kind) {
-        case 0:
-          s.partition(ing.t0, ing.t1, ing.side);
-          break;
-        case 1:
-          s.partition_one_way(ing.t0, ing.t1, ing.side,
-                              others(ing.side, n));
-          break;
-        case 2:
-          s.partition_flapping(ing.t0, ing.t1, ing.period, ing.side);
-          break;
-        case 3:
-          s.partition_rolling(ing.t0, ing.t1, ing.period);
-          break;
-        case 4:
-          s.crash(faulty.at(0), ing.t0);
-          if (ing.with_recovery) s.recover(faulty.at(0), ing.t1);
-          break;
-        case 5:
-          s.pause(faulty.at(0), ing.t0, ing.t1);
-          break;
-      }
-    }
-    if (with_skew) {
-      // Skew a node no other ingredient kills or pauses.
-      const std::vector<sim::ProcessId> ok = others(faulty, n);
-      s.clock_skew(ok.at(0), skew_rate);
-    }
-    return s;
-  };
-  return p;
 }
 
 }  // namespace chc::nemesis

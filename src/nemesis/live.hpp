@@ -1,14 +1,15 @@
-// Live nemesis: scenario presets and plan compilation for the REAL cluster.
+// Live nemesis: plan compilation for the REAL cluster.
 //
 // The sim presets (presets.hpp) assume a virtual clock the harness fully
 // controls; a live run against chc_node processes over TCP does not get
 // that luxury — a clean 5-node cluster decides in milliseconds of wall
 // time, so a fault injected "at t=4" after the fashion of the sim presets
-// would land on an already-finished run. Live presets therefore open their
-// cuts at t=0 (active the moment the controller submits) and heal later,
-// and the controller paces everything on one wall-clock anchor broadcast
-// to every node (transport::FaultyTransport maps phases on that shared
-// anchor; see faulty.hpp).
+// would land on an already-finished run. The live presets (live_presets()
+// in presets.hpp) therefore open their cuts at t=0 (active the moment the
+// controller submits) and heal later, and the controller paces everything
+// on one wall-clock anchor broadcast to every node
+// (transport::FaultyTransport maps phases on that shared anchor; see
+// faulty.hpp).
 //
 // compile_live() lowers a Scenario with Target::kLive and splits it into
 // the three things the orchestrator needs:
@@ -23,10 +24,7 @@
 // controller's cue to start expecting decisions.
 #pragma once
 
-#include <cstdint>
-#include <functional>
 #include <map>
-#include <string>
 #include <vector>
 
 #include "nemesis/scenario.hpp"
@@ -59,30 +57,5 @@ struct LivePlan {
 /// must be time-triggered (crash_after counts sim sends, which the
 /// controller cannot observe).
 LivePlan compile_live(const Scenario& s, std::size_t n);
-
-/// A named live scenario family. Mirrors Preset: crash/pause targets
-/// depend on the workload's faulty pids, so the builder receives them.
-struct LivePreset {
-  std::string name;
-  std::string description;
-  std::size_t n = 5, f = 1, d = 2;
-  double eps = 0.15;
-  /// Workload faulty pids (the builder's kill/pause targets), <= f.
-  std::size_t crash_count = 0;
-  std::function<Scenario(const std::vector<sim::ProcessId>& faulty,
-                         std::size_t n)>
-      build;
-};
-
-/// The live preset matrix (stable order, stable names).
-const std::vector<LivePreset>& live_presets();
-
-/// Preset by name, nullptr when unknown.
-const LivePreset* find_live_preset(const std::string& name);
-
-/// Seeded random live scenario composer (chc_cluster --fuzz / --soak).
-/// Every sampled scenario stays within the f = 1 budget and every cut
-/// heals, so all never-killed nodes must decide.
-LivePreset sample_live_preset(std::uint64_t seed);
 
 }  // namespace chc::nemesis

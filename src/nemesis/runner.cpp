@@ -5,10 +5,65 @@
 #include <sstream>
 #include <utility>
 
-#include "bcc/harness.hpp"
+#include "bcc/replay.hpp"
 #include "common/check.hpp"
 
 namespace chc::nemesis {
+
+namespace {
+
+/// The first check the run fails, empty when it passes every one.
+std::string verdict(Expect expect, const ScenarioResult& r,
+                    const bcc::ReplayResult& rep, std::size_t fault_free) {
+  if (!r.check.ok()) {
+    return "checker: " + obs::describe(r.check.violations.front());
+  }
+  if (!rep.identical) {
+    return "replay: " +
+           (rep.ran ? "diverged at line " + std::to_string(rep.first_diff_line)
+                    : rep.error);
+  }
+  if (!r.quiescent) return "run did not quiesce";
+  switch (expect) {
+    case Expect::kDecide:
+      if (r.outcome != Outcome::kDecided) {
+        return "expected every fault-free process to decide";
+      }
+      if (!r.cert.validity) {
+        return "decided hull escaped the fault-free input hull";
+      }
+      if (!r.cert.agreement) return "pairwise Hausdorff exceeded eps";
+      break;
+    case Expect::kStallSafe:
+      if (r.outcome != Outcome::kStalledSafe) {
+        return "expected a safe stall, but every expected process decided";
+      }
+      break;
+    case Expect::kRbcStall:
+      if (r.decided != 0 || r.round0_empty != 0) {
+        return "expected a total RBC stall (no deliveries at all)";
+      }
+      break;
+    case Expect::kRound0Empty:
+      if (r.decided != 0 || r.round0_empty != fault_free) {
+        return "expected every fault-free process to halt on empty gamma";
+      }
+      break;
+  }
+  return "";
+}
+
+}  // namespace
+
+std::string_view expect_name(Expect e) {
+  switch (e) {
+    case Expect::kDecide: return "decide";
+    case Expect::kStallSafe: return "stall-safe";
+    case Expect::kRbcStall: return "rbc-stall";
+    case Expect::kRound0Empty: return "round0-empty";
+  }
+  return "?";
+}
 
 std::string_view outcome_name(Outcome o) {
   switch (o) {
@@ -25,13 +80,10 @@ std::string summarize(const ScenarioResult& r) {
      << (r.passed ? " [pass]" : " [FAIL]") << " decided=" << r.decided
      << " latency=" << r.decide_latency << " rounds=" << r.rounds_to_decide
      << " msgs=" << r.messages_sent << " retx=" << r.retransmits
-     << " recoveries=" << r.recoveries << " resets=" << r.channel_resets;
-  if (!r.check.ok()) {
-    os << " violations=" << r.check.violations.size();
-    if (!r.check.violations.empty()) {
-      os << " first=[" << obs::describe(r.check.violations.front()) << "]";
-    }
-  }
+     << " recoveries=" << r.recoveries << " resets=" << r.channel_resets
+     << " round0_empty=" << r.round0_empty
+     << " d_H=" << r.cert.max_pairwise_hausdorff;
+  if (!r.passed) os << " detail=[" << r.detail << "]";
   return os.str();
 }
 
@@ -47,7 +99,8 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, obs::Registry* metrics) {
       spec.cc.fault_model == core::FaultModel::kCrashIncorrectInputs);
   const Scenario::Compiled compiled = spec.scenario.compile(spec.cc.n);
 
-  core::LossyRunConfig lc;
+  bcc::ByzRunConfig bc;
+  core::LossyRunConfig& lc = bc.lossy;
   lc.base.cc = spec.cc;
   lc.base.pattern = spec.pattern;
   lc.base.crash_style = core::CrashStyle::kNone;  // scenario plans rule
@@ -67,30 +120,34 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, obs::Registry* metrics) {
   lc.tracer = &tracer;
   lc.metrics = metrics;
 
-  core::LossyRunOutput out;
-  if (!compiled.byz.empty()) {
-    // Byzantine steps reroute the whole run onto the BCC harness; the
-    // scenario's byzantine targets must be exactly the workload's faulty
-    // set (presets guarantee it: builders receive the faulty pids).
-    CHC_CHECK(workload.faulty.size() == compiled.byz.size() &&
+  bc.behaviors = compiled.byz;
+  // Not recorded in the header: replay derives it from n and f the same way.
+  bc.allow_below_bound = spec.cc.n < 3 * spec.cc.f + 1;
+  if (!bc.behaviors.empty()) {
+    // The scenario's byzantine targets must be exactly the workload's
+    // faulty set (presets guarantee it: builders receive the faulty pids).
+    CHC_CHECK(workload.faulty.size() == bc.behaviors.size() &&
                   std::all_of(workload.faulty.begin(), workload.faulty.end(),
                               [&](sim::ProcessId p) {
-                                return compiled.byz.count(p) != 0;
+                                return bc.behaviors.count(p) != 0;
                               }),
               "byzantine targets must be the workload's faulty pids");
-    bcc::ByzRunConfig bc;
-    bc.lossy = lc;
-    bc.behaviors = compiled.byz;
-    out = bcc::run_bcc_custom(bc, workload);
-  } else {
-    out = core::run_cc_lossy_custom(lc, workload);
   }
+  const core::LossyRunOutput out =
+      bcc::find_protocol(bc.behaviors.empty() ? "cc" : "bcc")
+          ->run(bc, workload);
 
   r.trace_lines = sink.lines();
   r.check = obs::check_trace_lines(r.trace_lines);
+  const bcc::ReplayResult rep = bcc::replay_trace_lines(r.trace_lines);
+  r.replay_identical = rep.identical;
+  r.cert = out.cert;
 
   const std::vector<sim::ProcessId> decided = out.trace->decided();
   r.decided = decided.size();
+  for (const sim::ProcessId p : out.correct) {
+    if (out.trace->of(p).round0_empty) ++r.round0_empty;
+  }
   r.messages_sent = out.stats.messages_sent;
   r.retransmits = out.shims.retransmits;
   r.recoveries = out.stats.recoveries;
@@ -125,14 +182,14 @@ ScenarioResult run_scenario(const ScenarioSpec& spec, obs::Registry* metrics) {
     r.outcome = (all_decided && r.quiescent) ? Outcome::kDecided
                                              : Outcome::kStalledSafe;
   }
-  r.passed = r.check.ok() &&
-             r.outcome == (spec.expect_decide ? Outcome::kDecided
-                                              : Outcome::kStalledSafe);
+  r.detail = verdict(spec.expect, r, rep, out.correct.size());
+  r.passed = r.detail.empty();
 
   if (metrics != nullptr) {
     metrics->counter("nemesis.runs").inc();
     if (r.outcome == Outcome::kDecided) metrics->counter("nemesis.decided_runs").inc();
     if (r.outcome == Outcome::kViolation) metrics->counter("nemesis.violations").inc();
+    if (!r.replay_identical) metrics->counter("nemesis.replay_divergence").inc();
     if (!r.passed) metrics->counter("nemesis.failed_runs").inc();
     metrics->gauge("nemesis.decide_latency").set(r.decide_latency);
     metrics->gauge("nemesis.rounds_to_decide")

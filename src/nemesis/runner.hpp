@@ -1,11 +1,16 @@
 // Nemesis scenario runner: execute one Scenario, verify, summarize.
 //
-// run_scenario() is the single execution path of the nemesis harness:
-// it generates a workload (the scenario's crash targets are exactly the
-// workload's faulty set), lowers the Scenario onto core::run_cc_lossy_custom,
-// records the full JSONL trace in memory, re-verifies the run with the
-// offline checker (obs::check_trace_lines — the same code path as
-// tools/chc_check), classifies the outcome and extracts summary metrics.
+// run_scenario() is the single execution path of every named or sampled
+// fault scenario, crash-fault and Byzantine alike: it generates a workload
+// (the scenario's crash / Byzantine targets are exactly the workload's
+// faulty set), lowers the Scenario onto the harness its protocol row names
+// (bcc/replay.hpp: "cc" without byzantine steps, "bcc" with them), records
+// the full JSONL trace in memory, and then checks the run four ways:
+//
+//   checker      obs::check_trace_lines — the same code path as chc_check;
+//   replay       re-execution from the trace header must be bit-identical;
+//   quiescence   the run ended with nothing left in flight;
+//   expectation  the outcome the scenario promises (Expect below).
 //
 // Outcome classification:
 //   kDecided      every process that is neither workload-faulty nor
@@ -20,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/lossy.hpp"
@@ -28,6 +34,18 @@
 #include "obs/metrics.hpp"
 
 namespace chc::nemesis {
+
+/// What a scenario promises. The last two are BCC's below-bound demos.
+enum class Expect {
+  kDecide,      ///< every expected decider decides, with validity and
+                ///< ε-agreement (the decide certificate);
+  kStallSafe,   ///< checker-clean but some expected decider never decides;
+  kRbcStall,    ///< n <= 3f: reliable broadcast delivers nothing at all;
+  kRound0Empty  ///< 3f+1 <= n < (d+2)f+1: every fault-free process halts
+                ///< on an empty Γ at round 0 (arXiv 1302.2543's bound).
+};
+
+std::string_view expect_name(Expect e);
 
 /// Everything needed to execute a scenario once.
 struct ScenarioSpec {
@@ -41,7 +59,7 @@ struct ScenarioSpec {
   /// these pids as its crash targets, so crashed processes carry incorrect
   /// inputs exactly like the paper's adversary.
   std::size_t crash_count = 0;
-  bool expect_decide = true;
+  Expect expect = Expect::kDecide;
   Scenario scenario;
 };
 
@@ -53,12 +71,16 @@ struct ScenarioResult {
   std::string name;
   std::uint64_t seed = 0;
   Outcome outcome = Outcome::kStalledSafe;
-  bool passed = false;  ///< checker-clean and outcome == expectation
+  bool passed = false;  ///< every check held (detail is empty)
+  std::string detail;   ///< the first failed check, empty when passed
   obs::CheckReport check;
+  bool replay_identical = false;
+  core::Certificate cert;
   std::vector<std::string> trace_lines;  ///< full JSONL trace of the run
 
   // Summary metrics.
   std::size_t decided = 0;           ///< processes with a decision
+  std::size_t round0_empty = 0;      ///< fault-free, halted on empty Γ
   double decide_latency = 0.0;       ///< sim time of the last decision
   std::size_t rounds_to_decide = 0;  ///< max decision round (== t_end)
   std::uint64_t messages_sent = 0;
@@ -74,6 +96,7 @@ std::string summarize(const ScenarioResult& r);
 
 /// Executes the spec. `metrics` (optional) additionally receives the run's
 /// registry counters (sim.*, net.rel.*) plus the nemesis.* summary.
+/// Byzantine runs below n = 3f + 1 opt into allow_below_bound.
 ScenarioResult run_scenario(const ScenarioSpec& spec,
                             obs::Registry* metrics = nullptr);
 

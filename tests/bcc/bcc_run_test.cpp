@@ -2,9 +2,7 @@
 // resilience bound, must decide with validity (decided hull inside the
 // hull of fault-free inputs) and ε-agreement among fault-free processes —
 // each run re-verified by the offline checker and replayed bit-identically
-// via run_byz_preset.
-#include "bcc/presets.hpp"
-
+// via nemesis::run_preset.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -14,19 +12,15 @@
 #include "bcc/harness.hpp"
 #include "common/check.hpp"
 #include "geometry/polytope.hpp"
+#include "nemesis/presets.hpp"
 
 namespace chc::bcc {
 namespace {
 
-ByzPreset grid_point(std::size_t n, std::size_t f, std::size_t d,
-                     BehaviorKind kind) {
-  ByzPreset p;
+nemesis::Preset grid_point(std::size_t n, std::size_t f, std::size_t d,
+                           BehaviorKind kind) {
+  nemesis::Preset p = nemesis::byzantine_preset(n, f, d, kind, 0);
   p.name = "grid";
-  p.n = n;
-  p.f = f;
-  p.d = d;
-  p.kind = kind;
-  p.expect = ByzExpectation::kDecide;
   return p;
 }
 
@@ -46,8 +40,8 @@ TEST(BccDecideGrid, EveryAdversaryEveryTupleDecides) {
   for (const auto& [n, f, d] : tuples) {
     for (const BehaviorKind kind : kinds) {
       for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-        const ByzRunResult r =
-            run_byz_preset(grid_point(n, f, d, kind), seed);
+        const nemesis::ScenarioResult r =
+            nemesis::run_preset(grid_point(n, f, d, kind), seed);
         EXPECT_TRUE(r.passed)
             << "n=" << n << " f=" << f << " d=" << d << " "
             << behavior_name(kind) << " seed=" << seed << ": " << r.detail;

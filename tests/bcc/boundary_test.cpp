@@ -17,22 +17,17 @@
 #include <utility>
 #include <vector>
 
-#include "bcc/presets.hpp"
+#include "nemesis/presets.hpp"
 
-namespace chc::bcc {
+namespace chc::nemesis {
 namespace {
 
-ByzPreset boundary(std::size_t n, std::size_t f, std::size_t d,
-                   ByzExpectation expect, BehaviorKind kind,
-                   std::uint64_t param) {
-  ByzPreset p;
+using bcc::BehaviorKind;
+
+Preset boundary(std::size_t n, std::size_t f, std::size_t d, Expect expect,
+                BehaviorKind kind, std::uint64_t param) {
+  Preset p = byzantine_preset(n, f, d, kind, param, expect);
   p.name = "boundary";
-  p.n = n;
-  p.f = f;
-  p.d = d;
-  p.kind = kind;
-  p.param = param;
-  p.expect = expect;
   return p;
 }
 
@@ -43,9 +38,8 @@ TEST(BccBoundary, AtThreeFNoDecisionEver) {
   for (const auto& [n, f] : std::vector<std::pair<std::size_t, std::size_t>>{
            {3, 1}, {6, 2}}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const ByzRunResult r = run_byz_preset(
-          boundary(n, f, 1, ByzExpectation::kRbcStall,
-                   BehaviorKind::kSilent, 0),
+      const ScenarioResult r = run_preset(
+          boundary(n, f, 1, Expect::kRbcStall, BehaviorKind::kSilent, 0),
           seed);
       EXPECT_TRUE(r.passed) << "n=" << n << " f=" << f << " seed=" << seed
                             << ": " << r.detail;
@@ -62,9 +56,8 @@ TEST(BccBoundary, OneAboveThreeFDecides) {
   for (const auto& [n, f] : std::vector<std::pair<std::size_t, std::size_t>>{
            {4, 1}, {7, 2}}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-      const ByzRunResult r = run_byz_preset(
-          boundary(n, f, 1, ByzExpectation::kDecide, BehaviorKind::kSilent,
-                   0),
+      const ScenarioResult r = run_preset(
+          boundary(n, f, 1, Expect::kDecide, BehaviorKind::kSilent, 0),
           seed);
       EXPECT_TRUE(r.passed) << "n=" << n << " f=" << f << " seed=" << seed
                             << ": " << r.detail;
@@ -80,8 +73,8 @@ TEST(BccBoundary, VectorConsensusGapHaltsAtRoundZero) {
   // in the plane. Every fault-free process must halt at round 0, not
   // decide and not crash.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ByzRunResult r = run_byz_preset(
-        boundary(4, 1, 2, ByzExpectation::kRound0Empty,
+    const ScenarioResult r = run_preset(
+        boundary(4, 1, 2, Expect::kRound0Empty,
                  BehaviorKind::kSilent, 1'000'000),
         seed);
     EXPECT_TRUE(r.passed) << "seed=" << seed << ": " << r.detail;
@@ -95,8 +88,8 @@ TEST(BccBoundary, AtVectorBoundDecidesInThePlane) {
   // n = (d+2)f + 1 = 5 for d = 2, f = 1: the exact vector-consensus
   // bound, under the harsher equivocating adversary.
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    const ByzRunResult r = run_byz_preset(
-        boundary(5, 1, 2, ByzExpectation::kDecide,
+    const ScenarioResult r = run_preset(
+        boundary(5, 1, 2, Expect::kDecide,
                  BehaviorKind::kEquivocate, 0),
         seed);
     EXPECT_TRUE(r.passed) << "seed=" << seed << ": " << r.detail;
@@ -106,13 +99,13 @@ TEST(BccBoundary, AtVectorBoundDecidesInThePlane) {
 
 TEST(BccBoundary, NamedBoundaryPresetsMatchTheirExpectations) {
   for (const char* name : {"rbc_stall_3f", "vector_bound_gap"}) {
-    const ByzPreset* p = find_byz_preset(name);
+    const Preset* p = find_preset(name);
     ASSERT_NE(p, nullptr) << name;
-    const ByzRunResult r = run_byz_preset(*p, 5);
+    const ScenarioResult r = run_preset(*p, 5);
     EXPECT_TRUE(r.passed) << name << ": " << r.detail;
     EXPECT_EQ(r.decided, 0u) << name;
   }
 }
 
 }  // namespace
-}  // namespace chc::bcc
+}  // namespace chc::nemesis

@@ -1,5 +1,5 @@
 // BCC trace replay: header round-trip, bit-identical re-execution, and the
-// protocol dispatch between the crash-CC and Byzantine replayers.
+// protocol-keyed dispatch of the one replayer.
 #include "bcc/replay.hpp"
 
 #include <gtest/gtest.h>
@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "bcc/harness.hpp"
-#include "core/replay.hpp"
 #include "obs/checker.hpp"
 #include "obs/trace.hpp"
 
@@ -62,7 +61,7 @@ TEST(BccReplay, HeaderRoundTripsThroughJsonl) {
 TEST(BccReplay, ReExecutionIsBitIdentical) {
   for (std::uint64_t seed : {1ULL, 23ULL, 77ULL}) {
     const std::vector<std::string> lines = traced_byz_run(small_run(seed));
-    const core::ReplayResult rr = replay_trace_lines(lines);
+    const ReplayResult rr = replay_trace_lines(lines);
     ASSERT_TRUE(rr.ran) << "seed=" << seed << ": " << rr.error;
     EXPECT_TRUE(rr.identical)
         << "seed=" << seed << " line " << rr.first_diff_line << "\n  orig: "
@@ -71,14 +70,17 @@ TEST(BccReplay, ReExecutionIsBitIdentical) {
   }
 }
 
-TEST(BccReplay, CrashReplayerRefusesByzTraces) {
-  // protocol=bcc traces must not silently replay through the crash-CC
-  // path (it would re-execute honest processes for the Byzantine ones and
-  // diverge confusingly rather than fail cleanly).
-  const std::vector<std::string> lines = traced_byz_run(small_run(3));
-  const core::ReplayResult rr = core::replay_trace_lines(lines);
+TEST(BccReplay, UnknownProtocolIsRefusedByName) {
+  // A header whose protocol no harness runs must fail cleanly and name the
+  // protocol, not re-execute through some other harness and diverge.
+  std::vector<std::string> lines = traced_byz_run(small_run(3));
+  obs::TraceHeader h;
+  ASSERT_TRUE(obs::parse_header(lines[0], h, nullptr));
+  h.protocol = "xyz";
+  lines[0] = obs::to_jsonl(h);
+  const ReplayResult rr = replay_trace_lines(lines);
   EXPECT_FALSE(rr.ran);
-  EXPECT_NE(rr.error.find("bcc"), std::string::npos) << rr.error;
+  EXPECT_NE(rr.error.find("\"xyz\""), std::string::npos) << rr.error;
 }
 
 TEST(BccReplay, ByzReplayerRefusesCrashTraces) {
@@ -104,7 +106,7 @@ TEST(BccReplay, TamperedTraceDiverges) {
     }
   }
   ASSERT_NE(target, 0u);
-  const core::ReplayResult rr = replay_trace_lines(lines);
+  const ReplayResult rr = replay_trace_lines(lines);
   ASSERT_TRUE(rr.ran) << rr.error;
   EXPECT_FALSE(rr.identical);
   EXPECT_EQ(rr.first_diff_line, target);
@@ -119,7 +121,7 @@ TEST(BccReplay, BoundaryTracesReplayBelowTheBound) {
   bc.behaviors[0] = BehaviorSpec{BehaviorKind::kSilent, 0};
   bc.allow_below_bound = true;
   const std::vector<std::string> lines = traced_byz_run(bc);
-  const core::ReplayResult rr = replay_trace_lines(lines);
+  const ReplayResult rr = replay_trace_lines(lines);
   ASSERT_TRUE(rr.ran) << rr.error;
   EXPECT_TRUE(rr.identical);
 }

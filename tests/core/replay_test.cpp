@@ -1,11 +1,13 @@
-// Deterministic replay: a trace re-executed from its header must reproduce
-// the original byte for byte, across crash and lossy regimes; any tampering
-// is pinpointed to the first differing line.
+// Deterministic replay of crash-CC traces (the "cc" row of bcc/replay.hpp's
+// protocol table): a trace re-executed from its header must reproduce the
+// original byte for byte, across crash and lossy regimes; any tampering is
+// pinpointed to the first differing line.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <vector>
 
+#include "bcc/replay.hpp"
 #include "core/lossy.hpp"
 #include "core/replay.hpp"
 #include "core/workload.hpp"
@@ -13,6 +15,9 @@
 
 namespace chc::core {
 namespace {
+
+using bcc::replay_trace_lines;
+using bcc::ReplayResult;
 
 LossyRunConfig base_config(std::uint64_t seed) {
   LossyRunConfig lc;

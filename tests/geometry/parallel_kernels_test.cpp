@@ -126,7 +126,9 @@ TEST_P(KernelDifferential, SubsetHullsMatchReference) {
       const Polytope engine = intersection_of_subset_hulls(pts, drop);
       const Polytope ref = intersection_of_subset_hulls_reference(pts, drop);
       expect_vertex_sets_match(engine, ref, 1e-6, "subset hulls");
-      if (!engine.is_empty()) EXPECT_LT(hausdorff(engine, ref), 1e-6);
+      if (!engine.is_empty()) {
+        EXPECT_LT(hausdorff(engine, ref), 1e-6);
+      }
     }
   }
 }

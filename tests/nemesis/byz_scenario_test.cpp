@@ -46,7 +46,7 @@ TEST(ByzScenario, ScenarioRunRoutesOntoBccHarness) {
   spec.cc = core::CCConfig{.n = 4, .f = 1, .d = 1, .eps = 0.15};
   spec.seed = 13;
   spec.crash_count = 1;
-  spec.expect_decide = true;
+  spec.expect = Expect::kDecide;
   // The builder below is what presets do: target the workload's faulty
   // pid. ScenarioSpec carries a ready-built scenario, so resolve the
   // faulty pid the same way run_preset does — via the workload.

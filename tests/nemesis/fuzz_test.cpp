@@ -23,7 +23,7 @@ TEST(NemesisFuzz, SampledScenariosDecideCheckerClean) {
   const std::uint64_t seeds = fuzz_seeds();
   for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
     const Preset p = sample_preset(seed);
-    EXPECT_TRUE(p.expect_decide) << p.name;
+    EXPECT_EQ(p.expect, Expect::kDecide) << p.name;
     const ScenarioResult r = run_preset(p, seed);
     EXPECT_TRUE(r.check.ok()) << p.name << ": " << summarize(r);
     EXPECT_TRUE(r.passed) << p.name << " (" << p.description

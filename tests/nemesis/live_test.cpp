@@ -10,6 +10,7 @@
 #include <set>
 
 #include "common/check.hpp"
+#include "nemesis/presets.hpp"
 #include "nemesis/scenario.hpp"
 
 namespace chc::nemesis {
@@ -170,13 +171,13 @@ TEST(LivePresets, MatrixCompilesAndRespectsTheFaultBudget) {
         "rolling_partition", "crash_recover_skew", "pause_resume",
         "lossy_links"}) {
     EXPECT_TRUE(names.count(required)) << required;
-    EXPECT_NE(find_live_preset(required), nullptr);
+    EXPECT_NE(find_preset(required, presets), nullptr);
   }
-  EXPECT_EQ(find_live_preset("no_such_preset"), nullptr);
+  EXPECT_EQ(find_preset("no_such_preset", presets), nullptr);
 }
 
 TEST(LivePresets, CrashRecoverSkewMeetsTheAcceptanceShape) {
-  const LivePreset* p = find_live_preset("crash_recover_skew");
+  const Preset* p = find_preset("crash_recover_skew", live_presets());
   ASSERT_NE(p, nullptr);
   ASSERT_EQ(p->crash_count, 1u);
   const LivePlan plan = compile_live(p->build({4}, p->n), p->n);
@@ -191,7 +192,7 @@ TEST(LivePresets, CrashRecoverSkewMeetsTheAcceptanceShape) {
 
 TEST(LivePresets, FuzzSamplerIsSeededAndAlwaysQuiets) {
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
-    const LivePreset p = sample_live_preset(seed);
+    const Preset p = sample_live_preset(seed);
     ASSERT_LE(p.crash_count, 1u) << seed;
     const std::vector<sim::ProcessId> faulty =
         p.crash_count > 0 ? std::vector<sim::ProcessId>{3}

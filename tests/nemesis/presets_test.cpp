@@ -1,5 +1,6 @@
-// Preset matrix tests: every named scenario runs checker-clean and meets
-// its decide expectation; the over-budget preset stalls safe.
+// Preset matrix tests: every named scenario runs checker-clean, replays
+// bit-identically and meets its expectation; the over-budget preset stalls
+// safe; a contradicting expectation fails the run and names the cause.
 #include "nemesis/presets.hpp"
 
 #include <gtest/gtest.h>
@@ -19,11 +20,17 @@ TEST(Presets, MatrixIsStable) {
     EXPECT_TRUE(names.insert(p.name).second) << "duplicate " << p.name;
     EXPECT_FALSE(p.description.empty()) << p.name;
     EXPECT_LE(p.crash_count, p.f) << p.name;
-    // Resilience: the paper needs n >= (d+2)f + 1.
-    EXPECT_GE(p.n, (p.d + 2) * p.f + 1) << p.name;
+    // Resilience: the paper needs n >= (d+2)f + 1. Only BCC's two
+    // below-bound demos sit under it, and they expect exactly that failure.
+    if (p.expect == Expect::kRbcStall || p.expect == Expect::kRound0Empty) {
+      EXPECT_LT(p.n, (p.d + 2) * p.f + 1) << p.name;
+    } else {
+      EXPECT_GE(p.n, (p.d + 2) * p.f + 1) << p.name;
+    }
   }
   EXPECT_NE(find_preset("partition_heal"), nullptr);
   EXPECT_NE(find_preset("over_budget"), nullptr);
+  EXPECT_NE(find_preset("vector_bound_gap"), nullptr);
   EXPECT_EQ(find_preset("no_such_preset"), nullptr);
 }
 
@@ -43,7 +50,7 @@ TEST(Presets, EveryPresetPassesAtMultipleSeeds) {
 TEST(Presets, OverBudgetStallsSafeNotUnsafe) {
   const Preset* p = find_preset("over_budget");
   ASSERT_NE(p, nullptr);
-  EXPECT_FALSE(p->expect_decide);
+  EXPECT_EQ(p->expect, Expect::kStallSafe);
   const ScenarioResult r = run_preset(*p, 3);
   EXPECT_EQ(r.outcome, Outcome::kStalledSafe) << summarize(r);
   EXPECT_TRUE(r.check.ok()) << summarize(r);
@@ -73,6 +80,51 @@ TEST(Presets, RunFeedsMetricsRegistry) {
   EXPECT_GT(reg.gauge("nemesis.decide_latency").value(), 0.0);
   // The run's own counters flow through the same registry.
   EXPECT_GT(reg.counter("net.rel.data_sent").value(), 0u);
+}
+
+/// Runs `name` at seed 3 with its expectation replaced by `expect`.
+ScenarioResult run_relabelled(const char* name, Expect expect,
+                              obs::Registry* metrics = nullptr) {
+  const Preset* p = find_preset(name);
+  EXPECT_NE(p, nullptr) << name;
+  Preset relabelled = *p;
+  relabelled.expect = expect;
+  return run_preset(relabelled, 3, metrics);
+}
+
+TEST(Presets, ContradictedDecideFails) {
+  obs::Registry reg;
+  const ScenarioResult r =
+      run_relabelled("vector_bound_gap", Expect::kDecide, &reg);
+  EXPECT_FALSE(r.passed);
+  EXPECT_EQ(r.detail, "expected every fault-free process to decide");
+  EXPECT_NE(summarize(r).find("[FAIL]"), std::string::npos);
+  EXPECT_NE(summarize(r).find("detail=[" + r.detail + "]"),
+            std::string::npos);
+  EXPECT_EQ(reg.counter("nemesis.failed_runs").value(), 1u);
+}
+
+TEST(Presets, ContradictedStallSafeFails) {
+  const ScenarioResult r =
+      run_relabelled("partition_heal", Expect::kStallSafe);
+  EXPECT_FALSE(r.passed);
+  EXPECT_EQ(r.detail,
+            "expected a safe stall, but every expected process decided");
+}
+
+TEST(Presets, ContradictedRbcStallFails) {
+  const ScenarioResult r =
+      run_relabelled("vector_bound_gap", Expect::kRbcStall);
+  EXPECT_FALSE(r.passed);
+  EXPECT_EQ(r.detail, "expected a total RBC stall (no deliveries at all)");
+}
+
+TEST(Presets, ContradictedRound0EmptyFails) {
+  const ScenarioResult r =
+      run_relabelled("rbc_stall_3f", Expect::kRound0Empty);
+  EXPECT_FALSE(r.passed);
+  EXPECT_EQ(r.detail,
+            "expected every fault-free process to halt on empty gamma");
 }
 
 }  // namespace

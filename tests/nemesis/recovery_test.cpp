@@ -1,10 +1,10 @@
 // Crash->recover determinism (satellite): the same seed + scenario replays
-// bit-identically through core/replay, and the recovered incarnation never
+// bit-identically through bcc/replay, and the recovered incarnation never
 // violates stable-vector containment (the offline checker re-verifies every
 // run, all incarnations included).
 #include <gtest/gtest.h>
 
-#include "core/replay.hpp"
+#include "bcc/replay.hpp"
 #include "nemesis/presets.hpp"
 
 namespace chc::nemesis {
@@ -28,13 +28,13 @@ TEST(Recovery, SameSeedSameTraceBytes) {
 
 TEST(Recovery, ReplaysBitIdenticallyFromHeader) {
   // The trace header carries the scenario's lowered form (policy phases,
-  // crash plans with recover_at, storms); core/replay rebuilds the config
+  // crash plans with recover_at, storms); replay rebuilds the config
   // from the header alone and must reproduce the run byte for byte —
   // including the crash, the restart and the fresh incarnation's messages.
   const ScenarioResult r = run_crash_recover(5);
   ASSERT_TRUE(r.passed) << summarize(r);
   ASSERT_GE(r.recoveries, 1u);
-  const core::ReplayResult rep = core::replay_trace_lines(r.trace_lines);
+  const bcc::ReplayResult rep = bcc::replay_trace_lines(r.trace_lines);
   ASSERT_TRUE(rep.ran) << rep.error;
   EXPECT_TRUE(rep.identical)
       << "first diff at line " << rep.first_diff_line << "\n  expected: "
@@ -63,7 +63,7 @@ TEST(Recovery, PartitionedRecoveryReplaysToo) {
   ASSERT_NE(p, nullptr);
   const ScenarioResult r = run_preset(*p, 9);
   ASSERT_TRUE(r.passed) << summarize(r);
-  const core::ReplayResult rep = core::replay_trace_lines(r.trace_lines);
+  const bcc::ReplayResult rep = bcc::replay_trace_lines(r.trace_lines);
   ASSERT_TRUE(rep.ran) << rep.error;
   EXPECT_TRUE(rep.identical)
       << "first diff at line " << rep.first_diff_line << "\n  expected: "

@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <sys/wait.h>
 
@@ -42,7 +43,6 @@ struct ToolCase {
 };
 
 const ToolCase kTools[] = {
-    {"chc_byz", CHC_TOOL_BYZ_BIN, "--seed"},
     {"chc_nemesis", CHC_TOOL_NEMESIS_BIN, "--seed"},
     {"chc_record", CHC_TOOL_RECORD_BIN, "--seed"},
     {"chc_cluster", CHC_TOOL_CLUSTER_BIN, "--nodes"},
@@ -152,12 +152,40 @@ TEST(CliArgs, NodeRejectsBadValuesAndBareInvocation) {
   EXPECT_NE(r.output.find("bad --cluster"), std::string::npos) << r.output;
 }
 
+TEST(CliArgs, NemesisRejectsUnknownProtocol) {
+  const CmdResult r =
+      run_cmd(std::string(CHC_TOOL_NEMESIS_BIN) + " --all --protocol xyz");
+  EXPECT_EQ(r.exit_code, 2) << r.output;
+  EXPECT_NE(r.output.find("--protocol needs cc or bcc, got 'xyz'"),
+            std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("usage"), std::string::npos) << r.output;
+}
+
+TEST(CliArgs, NemesisReportsUnwritableTraceAndReport) {
+  // A passing run whose trace or report cannot be written must not exit 0:
+  // the file is what CI archives and re-checks.
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "chc_cli_no_such_dir" / "x.jsonl")
+                               .string();
+  for (const std::string opt : {"--out", "--report"}) {
+    const CmdResult r =
+        run_cmd(std::string(CHC_TOOL_NEMESIS_BIN) +
+                " --preset partition_heal --seed 1 " + opt + " " + path);
+    EXPECT_EQ(r.exit_code, 1) << opt << ": " << r.output;
+    EXPECT_NE(r.output.find("cannot write " + path), std::string::npos)
+        << opt << ": " << r.output;
+    EXPECT_NE(r.output.find("1/1 scenario runs passed"), std::string::npos)
+        << opt << ": " << r.output;
+  }
+}
+
 TEST(CliArgs, NoModeExitsTwoWithUsage) {
   // Tools that require a mode/required argument print usage and exit 2
   // when invoked bare. (chc_serve and chc_cluster run with defaults, so
   // they are exercised via the bad-value cases above instead.)
-  for (const char* bin : {CHC_TOOL_BYZ_BIN, CHC_TOOL_NEMESIS_BIN,
-                          CHC_TOOL_RECORD_BIN, CHC_TOOL_CHECK_BIN}) {
+  for (const char* bin :
+       {CHC_TOOL_NEMESIS_BIN, CHC_TOOL_RECORD_BIN, CHC_TOOL_CHECK_BIN}) {
     const CmdResult r = run_cmd(bin);
     EXPECT_EQ(r.exit_code, 2) << bin << ": " << r.output;
     EXPECT_NE(r.output.find("usage"), std::string::npos)

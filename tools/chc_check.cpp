@@ -5,17 +5,16 @@
 // For each trace: parses it, re-verifies the paper's invariants
 // (obs/checker.hpp) and prints ACCEPT or REJECT with the first violating
 // event's line, round and diagnostic. With --replay the run is also
-// re-executed from the trace header and compared byte-for-byte — crash-CC
-// traces through core/replay.hpp, Byzantine (protocol=bcc) traces through
-// bcc/replay.hpp. Exit code: 0 = all traces accepted, 1 = at least one
-// rejected or diverged, 2 = usage / unreadable input.
+// re-executed from the trace header, through the harness its protocol
+// names (bcc/replay.hpp), and compared byte-for-byte. Exit code: 0 = all
+// traces accepted, 1 = at least one rejected or diverged, 2 = usage /
+// unreadable input.
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bcc/replay.hpp"
 #include "common/cli.hpp"
-#include "core/replay.hpp"
 #include "obs/checker.hpp"
 
 namespace {
@@ -87,10 +86,7 @@ int main(int argc, char** argv) {
                   << " (live trace: not seed-replayable)\n";
         continue;
       }
-      const chc::core::ReplayResult rr =
-          report.header.protocol == "bcc"
-              ? chc::bcc::replay_trace_file(file)
-              : chc::core::replay_trace_file(file);
+      const chc::bcc::ReplayResult rr = chc::bcc::replay_trace_file(file);
       if (!rr.ran) {
         std::cout << "REPLAY-ERROR " << file << ": " << rr.error << "\n";
         any_bad = true;

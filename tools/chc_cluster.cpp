@@ -22,8 +22,8 @@
 //    restarted with a bumped --epoch, and must fully rejoin (decide every
 //    wave-2 instance). --soak S repeats such cycles for ~S seconds.
 //
-//  * Live nemesis (--nemesis / --fuzz / --soak-minutes): a
-//    nemesis::LivePreset compiles one Scenario into (a) a
+//  * Live nemesis (--nemesis / --fuzz / --soak-minutes): a live
+//    nemesis::Preset compiles one Scenario into (a) a
 //    net::PolicySchedule broadcast to every node's FaultyTransport over
 //    the NEMESIS RPC, anchored to one shared wall-clock instant, (b)
 //    SIGKILL / restart+epoch-bump / SIGSTOP / SIGCONT actions this
@@ -66,6 +66,7 @@
 #include "core/workload.hpp"
 #include "geometry/polytope.hpp"
 #include "nemesis/live.hpp"
+#include "nemesis/presets.hpp"
 #include "obs/checker.hpp"
 #include "obs/trace.hpp"
 #include "transport/faulty.hpp"
@@ -615,7 +616,7 @@ int main(int argc, char** argv) {
     else args.unknown();
   }
   if (opt.list_nemesis) {
-    for (const nemesis::LivePreset& p : nemesis::live_presets()) {
+    for (const nemesis::Preset& p : nemesis::live_presets()) {
       std::cout << p.name << "\n    " << p.description << "\n";
     }
     return 0;
@@ -625,14 +626,15 @@ int main(int argc, char** argv) {
 
   // Resolve the nemesis preset list up front: a typo'd name should die on
   // usage, not after a cluster spawn.
-  std::vector<const nemesis::LivePreset*> chosen;
+  std::vector<const nemesis::Preset*> chosen;
   if (!opt.nemesis.empty()) {
     if (opt.nemesis == "all") {
-      for (const nemesis::LivePreset& p : nemesis::live_presets()) {
+      for (const nemesis::Preset& p : nemesis::live_presets()) {
         chosen.push_back(&p);
       }
     } else {
-      const nemesis::LivePreset* p = nemesis::find_live_preset(opt.nemesis);
+      const nemesis::Preset* p =
+          nemesis::find_preset(opt.nemesis, nemesis::live_presets());
       if (p == nullptr) {
         std::cerr << "unknown nemesis preset: " << opt.nemesis
                   << " (see --list-nemesis)\n";
@@ -644,7 +646,7 @@ int main(int argc, char** argv) {
   if (nemesis_mode) {
     // Every live preset (and the fuzz sampler) is built for one cluster
     // shape; the scenario's cut/kill targets assume it.
-    const nemesis::LivePreset& shape =
+    const nemesis::Preset& shape =
         chosen.empty() ? nemesis::live_presets().front() : *chosen.front();
     opt.nodes = shape.n;
     opt.f = shape.f;
@@ -770,7 +772,7 @@ int main(int argc, char** argv) {
       /// One preset run end to end: skews applied, schedule anchored and
       /// broadcast, instances submitted at the anchor, actions executed
       /// at anchored wall times, decisions and agreement gated.
-      const auto run_cycle = [&](const nemesis::LivePreset& preset,
+      const auto run_cycle = [&](const nemesis::Preset& preset,
                                  std::uint64_t scenario_seed) {
         std::cout << "nemesis cycle: " << preset.name << " (seed "
                   << scenario_seed << ")\n";

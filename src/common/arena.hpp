@@ -7,9 +7,8 @@
 // long-lived chunks that are recycled round after round.
 //
 // Lifetime rules (see DESIGN.md §14):
-//  * One arena per thread (`thread_arena()`); the service's shard workers and
-//    the geometry pool workers each get their own, so no locking is needed
-//    on the allocation path.
+//  * One arena per thread (`thread_arena()`); each of the service's shard
+//    workers gets its own, so no locking is needed on the allocation path.
 //  * A kernel entry point opens an `ArenaScope`; everything allocated inside
 //    is released wholesale when the scope closes. Scopes nest (recursion,
 //    kernels calling kernels).

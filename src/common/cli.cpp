@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
 
 namespace chc::cli {
@@ -22,6 +23,15 @@ std::optional<double> parse_real(std::string_view s) {
   const double v = std::strtod(str.c_str(), &end);
   if (str.empty() || *end != '\0' || !std::isfinite(v)) return std::nullopt;
   return v;
+}
+
+bool write_lines(const std::string& path,
+                 const std::vector<std::string>& lines) {
+  std::ofstream out(path);
+  for (const std::string& line : lines) out << line << '\n';
+  out.close();
+  if (!out) std::cerr << "cannot write " << path << "\n";
+  return static_cast<bool>(out);
 }
 
 bool Args::next() {

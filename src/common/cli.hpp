@@ -4,7 +4,8 @@
 // "5x" read as 5, no silent wrap on overflow, no "nan"), and a bad,
 // missing or unknown argument prints a one-line diagnostic, then the
 // program's usage text, and exits 2. --help / -h print the usage and
-// exit 0.
+// exit 0. Output files go through write_lines, so a trace or report that
+// cannot be written is reported, never lost silently.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 namespace chc::cli {
 
@@ -21,6 +23,12 @@ std::optional<std::uint64_t> parse_count(std::string_view s);
 
 /// Whole-value finite real; nullopt on anything else.
 std::optional<double> parse_real(std::string_view s);
+
+/// Writes each line plus '\n' to `path`, replacing the file. On failure
+/// prints "cannot write PATH" to stderr and returns false; the caller
+/// exits 1.
+bool write_lines(const std::string& path,
+                 const std::vector<std::string>& lines);
 
 /// Walks argv, one option at a time:
 ///

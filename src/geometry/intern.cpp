@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cstddef>
-#include <cstdlib>
 #include <deque>
 #include <list>
 #include <mutex>
@@ -70,14 +69,6 @@ bool same_value(const Polytope& a, const Polytope& b) {
   return true;
 }
 
-std::size_t default_intern_cap() {
-  if (const char* env = std::getenv("CHC_INTERN_CAP")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<std::size_t>(v);
-  }
-  return kDefaultInternCap;
-}
-
 /// The shared intern table: weak entries (the table never keeps a polytope
 /// alive) in an LRU order capped at `cap` — recently interned values stay
 /// dedupable, old ones (and their control blocks) are let go.
@@ -94,7 +85,7 @@ struct InternTable {
   std::unordered_map<std::uint64_t, std::vector<Entry>> table;
   LruList lru;  ///< front = eviction victim, back = most recent
   std::size_t entries = 0;
-  std::size_t cap = default_intern_cap();
+  std::size_t cap = kDefaultInternCap;
 
   /// Drops the table entry for (hash, key). Caller holds mu.
   void erase_entry(std::uint64_t hash, const Polytope* key) {
@@ -666,7 +657,7 @@ std::size_t intern_capacity() {
 void set_intern_capacity(std::size_t cap) {
   InternTable& t = intern_table();
   std::lock_guard<std::mutex> lock(t.mu);
-  t.cap = cap == 0 ? default_intern_cap() : cap;
+  t.cap = cap == 0 ? kDefaultInternCap : cap;
   t.enforce_cap();
 }
 

@@ -106,8 +106,8 @@ InternStats intern_stats();
 /// intern_capacity()).
 std::size_t intern_table_size();
 
-/// The intern table's entry bound. Defaults to CHC_INTERN_CAP (env) or
-/// 4096; set_intern_capacity(0) restores that default. Shrinking evicts
+/// The intern table's entry bound. Defaults to 4096 (kDefaultInternCap);
+/// set_intern_capacity(0) restores that default. Shrinking evicts
 /// immediately. Thread-safe.
 std::size_t intern_capacity();
 void set_intern_capacity(std::size_t cap);

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdint>
 #include <utility>
 
 #include "common/arena.hpp"
 #include "common/check.hpp"
 #include "common/combinatorics.hpp"
-#include "common/thread_pool.hpp"
 #include "geometry/combine2d.hpp"
 #include "geometry/hull2d.hpp"
 #include "geometry/quickhull.hpp"
@@ -212,98 +210,6 @@ Polytope linear_combination_kway2d(const std::vector<Polytope>& polys,
   return combine2d(ptrs, rel_tol);
 }
 
-// --- Engine: balanced merge tree (general d) ------------------------------
-
-/// Candidate budget per pruning call in the merge tree. One huge
-/// from_points call is superlinear in its input and output (quickhull +
-/// facet canonicalization), so merges above this budget are split into
-/// chunks whose extreme points are found independently and re-pruned —
-/// exact (hull of union of chunk-hull vertices = hull of the whole set)
-/// and it turns the root merge into pool-wide parallel work.
-constexpr std::size_t kMergeChunkCands = 1024;
-
-/// L in general dimension by a balanced pairwise merge tree: each level
-/// merges adjacent operands (candidate vertex products, hull-pruned) on
-/// the shared pool. Large merges are chunked (kMergeChunkCands). Tree
-/// shape and chunk boundaries depend only on operand sizes, so the result
-/// is identical for every thread count.
-Polytope linear_combination_tree(const std::vector<Polytope>& polys,
-                                 const std::vector<double>& weights,
-                                 double rel_tol) {
-  std::vector<std::vector<Vec>> ops;
-  ops.reserve(polys.size());
-  for (std::size_t i = 0; i < polys.size(); ++i) {
-    if (weights[i] == 0.0) continue;
-    std::vector<Vec> scaled;
-    scaled.reserve(polys[i].vertices().size());
-    for (const Vec& v : polys[i].vertices()) scaled.push_back(v * weights[i]);
-    ops.push_back(std::move(scaled));
-  }
-  CHC_INTERNAL(!ops.empty(), "weights sum to 1, so one is positive");
-
-  common::ThreadPool& pool = common::ThreadPool::global();
-  while (ops.size() > 1) {
-    const std::size_t pairs = ops.size() / 2;
-
-    // Split each pair's candidate product a x b into chunks of contiguous
-    // a-rows, at most kMergeChunkCands candidates each. The flat chunk
-    // list is the parallel job space, so a level with a single huge merge
-    // (the tree root) still fans out across the pool.
-    struct Chunk {
-      std::size_t pair, a_begin, a_end;
-    };
-    std::vector<Chunk> chunks;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const std::size_t na = ops[2 * p].size();
-      const std::size_t nb = ops[2 * p + 1].size();
-      const std::size_t rows =
-          std::max<std::size_t>(1, kMergeChunkCands / std::max<std::size_t>(nb, 1));
-      for (std::size_t r = 0; r < na; r += rows) {
-        chunks.push_back({p, r, std::min(na, r + rows)});
-      }
-    }
-
-    std::vector<std::vector<Vec>> pruned(chunks.size());
-    pool.parallel_for(chunks.size(), [&](std::size_t c) {
-      const Chunk& ch = chunks[c];
-      const std::vector<Vec>& a = ops[2 * ch.pair];
-      const std::vector<Vec>& b = ops[2 * ch.pair + 1];
-      std::vector<Vec> cands;
-      cands.reserve((ch.a_end - ch.a_begin) * b.size());
-      for (std::size_t i = ch.a_begin; i < ch.a_end; ++i) {
-        for (const Vec& v : b) cands.push_back(a[i] + v);
-      }
-      pruned[c] = Polytope::from_points(cands, rel_tol).vertices();
-    });
-
-    // Re-prune each pair over its chunks' surviving vertices (chunk order
-    // is fixed, so concatenation is deterministic). Single-chunk pairs are
-    // already exact and skip the second pass.
-    std::vector<std::vector<Vec>> next(pairs);
-    std::vector<std::size_t> multi;  // pairs needing the re-prune pass
-    for (std::size_t c = 0; c < chunks.size(); ++c) {
-      auto& dst = next[chunks[c].pair];
-      if (dst.empty()) {
-        dst = std::move(pruned[c]);
-      } else {
-        dst.insert(dst.end(), std::make_move_iterator(pruned[c].begin()),
-                   std::make_move_iterator(pruned[c].end()));
-        if (multi.empty() || multi.back() != chunks[c].pair) {
-          multi.push_back(chunks[c].pair);
-        }
-      }
-    }
-    pool.parallel_for(multi.size(), [&](std::size_t m) {
-      next[multi[m]] =
-          Polytope::from_points(next[multi[m]], rel_tol).vertices();
-    });
-
-    if (ops.size() % 2 == 1) next.push_back(std::move(ops.back()));
-    ops = std::move(next);
-  }
-  return Polytope::from_points(ops[0], rel_tol);
-}
-
 /// Shared operand validation for L; returns the ambient dimension.
 std::size_t validate_combination(const std::vector<Polytope>& polys,
                                  const std::vector<double>& weights) {
@@ -334,7 +240,7 @@ Polytope linear_combination_1d(const std::vector<Polytope>& polys,
   return Polytope::from_points({Vec{lo}, Vec{hi}}, rel_tol);
 }
 
-// --- Engine: parallel subset hulls ---------------------------------------
+// --- Engine: 2-D subset hulls --------------------------------------------
 
 /// One (|X|-drop)-subset's hull in 2-D: CCW vertex polygon plus the edge
 /// halfplanes the ordered reduction clips with.
@@ -486,7 +392,8 @@ Polytope linear_combination(const std::vector<Polytope>& polys,
   const std::size_t d = validate_combination(polys, weights);
   if (d == 1) return linear_combination_1d(polys, weights, rel_tol);
   if (d == 2) return linear_combination_kway2d(polys, weights, rel_tol);
-  return linear_combination_tree(polys, weights, rel_tol);
+  // d >= 3: no engine kernel beats the reference fold yet (DESIGN.md §9).
+  return linear_combination_pairwise(polys, weights, rel_tol);
 }
 
 Polytope equal_weight_combination(const std::vector<Polytope>& polys,
@@ -501,61 +408,37 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
                                       std::size_t drop, double rel_tol) {
   CHC_CHECK(!points.empty(), "subset-hull intersection of no points");
   CHC_CHECK(drop < points.size(), "must keep at least one point per subset");
-  const std::size_t d = points[0].dim();
+  // d != 2: one halfspace system over every subset hull, the reference
+  // kernel's computation.
+  if (points[0].dim() != 2 || drop == 0) {
+    return intersection_of_subset_hulls_reference(points, drop, rel_tol);
+  }
 
-  if (drop == 0) return Polytope::from_points(points, rel_tol);
-
-  // Materialize the lexicographic subset order once: the fan-out below is
-  // indexed by subset rank, so the reduction consumes hulls in exactly the
-  // order the serial enumeration would produce them — bit-identical
-  // results for every CHC_GEO_THREADS value.
-  std::vector<std::vector<std::size_t>> subsets;
+  std::vector<SubsetHull2d> hulls;
   for_each_drop(points.size(), drop,
                 [&](const std::vector<std::size_t>& kept) {
-                  subsets.push_back(kept);
+                  hulls.push_back(build_subset_hull2d(points, kept, rel_tol));
                   return true;
                 });
-  common::ThreadPool& pool = common::ThreadPool::global();
 
-  if (d == 2) {
-    std::vector<SubsetHull2d> hulls(subsets.size());
-    pool.parallel_for(subsets.size(), [&](std::size_t i) {
-      hulls[i] = build_subset_hull2d(points, subsets[i], rel_tol);
-    });
-
-    double scale = 1.0;
-    for (const SubsetHull2d& h : hulls) {
-      for (const Vec& v : h.poly) scale = std::max(scale, v.max_abs());
-    }
-    const double tol = rel_tol * scale;
-    // Ordered reduction: clip the first subset's polygon with every later
-    // subset's halfplanes, in rank order.
-    common::ArenaScope scratch;  // reclaims the SoA mirrors wholesale
-    ClipReduction2d reduction(hulls[0].poly);
-    bool alive = !reduction.empty();
-    for (std::size_t i = 1; i < hulls.size() && alive; ++i) {
-      for (const Halfspace& hs : hulls[i].hs) {
-        alive = reduction.clip(hs.a, hs.b, tol);
-        if (!alive) break;
-      }
-    }
-    if (!alive) return Polytope::empty(2);
-    return Polytope::from_points(reduction.poly(), rel_tol);
+  double scale = 1.0;
+  for (const SubsetHull2d& h : hulls) {
+    for (const Vec& v : h.poly) scale = std::max(scale, v.max_abs());
   }
-
-  std::vector<std::vector<Halfspace>> sub_hs(subsets.size());
-  pool.parallel_for(subsets.size(), [&](std::size_t i) {
-    std::vector<Vec> sub;
-    sub.reserve(subsets[i].size());
-    for (std::size_t k : subsets[i]) sub.push_back(points[k]);
-    sub_hs[i] = Polytope::from_points(sub, rel_tol).halfspaces();
-  });
-  std::vector<Halfspace> hs;  // concatenated in subset-rank order
-  for (std::vector<Halfspace>& shs : sub_hs) {
-    hs.insert(hs.end(), std::make_move_iterator(shs.begin()),
-              std::make_move_iterator(shs.end()));
+  const double tol = rel_tol * scale;
+  // Ordered reduction: clip the first subset's polygon with every later
+  // subset's halfplanes, in rank order.
+  common::ArenaScope scratch;  // reclaims the SoA mirrors wholesale
+  ClipReduction2d reduction(hulls[0].poly);
+  bool alive = !reduction.empty();
+  for (std::size_t i = 1; i < hulls.size() && alive; ++i) {
+    for (const Halfspace& hs : hulls[i].hs) {
+      alive = reduction.clip(hs.a, hs.b, tol);
+      if (!alive) break;
+    }
   }
-  return intersect_halfspaces(d, hs, rel_tol);
+  if (!alive) return Polytope::empty(2);
+  return Polytope::from_points(reduction.poly(), rel_tol);
 }
 
 // --- Reference kernels (pre-engine serial implementations) ----------------

@@ -8,16 +8,16 @@
 //    recursively inside their affine hull.
 //  * linear_combination — the paper's function L (Definition 2): the
 //    weighted Minkowski sum of convex polytopes. The engine computes it by
-//    a single k-way rotating edge-vector merge for d = 2 (O(total edges))
-//    and a balanced pairwise merge tree with hull pruning in general
-//    dimension (subtree merges run on the common::ThreadPool).
+//    a single k-way rotating edge-vector merge for d = 2 (O(total edges));
+//    d = 1 is an interval sum, and d >= 3 runs the reference pairwise fold.
 //  * intersection_of_subset_hulls — ∩_{C ⊆ X, |C| = |X|-f} H(C), shared by
-//    line 5 (on X_i) and the I_Z lower bound (on X_Z). Subset hulls are
-//    computed in parallel on the pool and reduced in subset-rank order, so
-//    the result is bit-identical for every thread count (DESIGN.md §9).
+//    line 5 (on X_i) and the I_Z lower bound (on X_Z). For d = 2 the subset
+//    polygons are built directly and clipped in subset-rank order; other
+//    dimensions run the reference halfspace-system kernel.
 //
-// Threading knob: CHC_GEO_THREADS sizes the shared pool (1 = fully serial,
-// unset = hardware_concurrency); see common/thread_pool.hpp.
+// Every kernel is serial and deterministic: the service's parallelism is
+// one consensus instance per shard thread, never inside a kernel
+// (DESIGN.md §9).
 #pragma once
 
 #include <cstddef>
@@ -74,7 +74,8 @@ Polytope intersection_of_subset_hulls(const std::vector<Vec>& points,
 // The pre-engine serial implementations, kept verbatim: the differential
 // property tests assert the engine kernels above are vertex-set-identical
 // (up to rel_tol) to these, and bench_geometry_micro uses them as the
-// pre-optimization baseline rows in BENCH_geometry.json.
+// pre-optimization baseline rows in BENCH_geometry.json. For d >= 3 (and
+// d = 1 subset hulls) the engine entry points call these directly.
 
 /// L by the original sequential left-fold: pairwise minkowski_sum2d for
 /// d = 2, pairwise candidate products with per-step hull pruning otherwise.

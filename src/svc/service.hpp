@@ -14,9 +14,10 @@
 // polytopes and its JSONL trace are bit-identical to running that instance
 // alone — at any shard count, under any cross-instance interleaving. What
 // IS shared across instances is deliberately value-transparent state: the
-// process-global polytope intern table (bounded LRU) and the geometry
-// thread pool. Each shard additionally owns a private combination memo
-// table (geo::ComboCache, installed thread-locally) so shards never
+// process-global polytope intern table (bounded LRU). Shard threads are
+// the only parallelism; the geometry kernels run serially on the calling
+// shard (DESIGN.md §9). Each shard additionally owns a private combination
+// memo table (geo::ComboCache, installed thread-locally) so shards never
 // serialize on the global memo mutex; memo hits return interned values a
 // fresh computation would produce, so results cannot differ. The
 // differential suite in tests/svc enforces all of this bit-for-bit.

@@ -27,7 +27,7 @@ class InternTest : public ::testing::Test {
  protected:
   void SetUp() override { clear_intern_caches(); }
   void TearDown() override {
-    set_intern_capacity(0);  // restore the CHC_INTERN_CAP / builtin default
+    set_intern_capacity(0);  // restore the builtin default
     clear_intern_caches();
   }
 };

@@ -174,7 +174,7 @@ TEST_P(LProperty, ValidityLemma5) {
   EXPECT_TRUE(region.contains(l, 1e-6)) << "d=" << d;
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, LProperty, ::testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Dims, LProperty, ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------
 // Hausdorff distance metric properties.
@@ -283,7 +283,8 @@ TEST_P(SubsetHullProperty, WitnessPointSurvivesEverySubset) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Dims, SubsetHullProperty, ::testing::Values(1, 2, 3));
+INSTANTIATE_TEST_SUITE_P(Dims, SubsetHullProperty,
+                         ::testing::Values(1, 2, 3, 4));
 
 // ---------------------------------------------------------------------
 // Nearest-point (Wolfe) properties.

@@ -4,8 +4,7 @@
 // decision polytopes AND its full per-instance trace stream must be
 // byte-identical to running that instance alone through
 // core::run_cc_lossy_custom. The shared state between concurrent instances
-// (interned geometry, combo memo tables, the geometry thread pool) must be
-// invisible in results.
+// (interned geometry, combo memo tables) must be invisible in results.
 #include <gtest/gtest.h>
 
 #include <map>

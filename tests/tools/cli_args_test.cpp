@@ -180,6 +180,60 @@ TEST(CliArgs, NemesisReportsUnwritableTraceAndReport) {
   }
 }
 
+/// A path under a directory that does not exist.
+std::string unwritable_path(const char* file) {
+  return (std::filesystem::temp_directory_path() / "chc_cli_no_such_dir" /
+          file)
+      .string();
+}
+
+TEST(CliArgs, RecordReportsUnwritableTraceAndReport) {
+  // Both outputs go through one checked writer: an unwritable report or
+  // trace prints "cannot write PATH" and exits 1 (never 0, never a
+  // ContractViolation abort from the trace sink).
+  const std::string bad = unwritable_path("r.json");
+  const std::string trace =
+      (std::filesystem::temp_directory_path() / "chc_cli_record.jsonl")
+          .string();
+  for (const std::string& args :
+       {"--out " + trace + " --report " + bad, "--out " + bad}) {
+    const CmdResult r = run_cmd(std::string(CHC_TOOL_RECORD_BIN) +
+                                " --preset default --seed 7 " + args);
+    EXPECT_EQ(r.exit_code, 1) << args << ": " << r.output;
+    EXPECT_NE(r.output.find("cannot write " + bad), std::string::npos)
+        << args << ": " << r.output;
+    EXPECT_NE(r.output.find("ok      "), std::string::npos)
+        << args << ": " << r.output;
+  }
+  std::filesystem::remove(trace);
+}
+
+TEST(CliArgs, ServeReportsUnwritableReport) {
+  const std::string bad = unwritable_path("serve.json");
+  const CmdResult r = run_cmd(std::string(CHC_TOOL_SERVE_BIN) +
+                              " --instances 1 --shards 1 --report " + bad);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("cannot write " + bad), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("0 failed"), std::string::npos) << r.output;
+}
+
+TEST(CliArgs, ClusterReportsUnwritableReport) {
+  // The smallest cluster that decides: two chc_node processes, f = 0.
+  const std::string bad = unwritable_path("cluster.json");
+  const std::filesystem::path traces =
+      std::filesystem::temp_directory_path() / "chc_cli_cluster_traces";
+  const CmdResult r =
+      run_cmd(std::string(CHC_TOOL_CLUSTER_BIN) +
+              " --nodes 2 --f 0 --d 1 --instances 1 --no-kill --timeout 30"
+              " --trace-dir " + traces.string() + " --report " + bad);
+  EXPECT_EQ(r.exit_code, 1) << r.output;
+  EXPECT_NE(r.output.find("cannot write " + bad), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("PASS:"), std::string::npos) << r.output;
+  std::filesystem::remove_all(traces);
+}
+
 TEST(CliArgs, NoModeExitsTwoWithUsage) {
   // Tools that require a mode/required argument print usage and exit 2
   // when invoked bare. (chc_serve and chc_cluster run with defaults, so

@@ -1068,8 +1068,9 @@ int main(int argc, char** argv) {
             << " traces checked, max pairwise decision distance "
             << max_agreement << "\n";
 
+  bool written = true;
   if (!opt.report.empty()) {
-    std::ofstream rep(opt.report);
+    std::ostringstream rep;
     rep << "{\"ok\": " << (all_ok ? "true" : "false")
         << ", \"instances\": " << runs.size()
         << ", \"traces_checked\": " << traces_checked
@@ -1084,7 +1085,8 @@ int main(int argc, char** argv) {
       }
       rep << '"' << esc << '"';
     }
-    rep << "]}\n";
+    rep << "]}";
+    written = cli::write_lines(opt.report, {rep.str()});
   }
-  return all_ok ? 0 : 1;
+  return all_ok && written ? 0 : 1;
 }

@@ -24,7 +24,6 @@
 // for cc runs; by default only failing traces are written (those are the
 // interesting ones). --report writes the metrics registry JSON.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <system_error>
@@ -50,17 +49,6 @@ void usage() {
                "              [--out-dir DIR] [--report FILE]\n";
 }
 
-/// Writes one line per entry; false, after a diagnostic, when the file
-/// cannot be written.
-bool write_lines(const std::vector<std::string>& lines,
-                 const std::string& path) {
-  std::ofstream out(path);
-  for (const std::string& line : lines) out << line << "\n";
-  out.close();
-  if (!out) std::cerr << "cannot write " << path << "\n";
-  return static_cast<bool>(out);
-}
-
 struct Tally {
   std::size_t ran = 0, failed = 0, unwritten = 0;
 };
@@ -81,7 +69,9 @@ void run_and_report(const nemesis::Preset& preset, std::uint64_t seed,
         nemesis::protocol_of(preset) == "bcc" ? "/byz_" : "/nemesis_";
     path = dir + prefix + r.name + "_" + std::to_string(seed) + ".jsonl";
   }
-  if (!path.empty() && !write_lines(r.trace_lines, path)) ++tally.unwritten;
+  if (!path.empty() && !cli::write_lines(path, r.trace_lines)) {
+    ++tally.unwritten;
+  }
 }
 
 }  // namespace
@@ -166,7 +156,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (!report.empty() && !write_lines({metrics.to_json()}, report)) {
+  if (!report.empty() && !cli::write_lines(report, {metrics.to_json()})) {
     ++tally.unwritten;
   }
   std::cout << (tally.ran - tally.failed) << "/" << tally.ran

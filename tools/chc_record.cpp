@@ -11,9 +11,9 @@
 // [0, 0.10], reorder in [0, 0.20], random crash style and delay regime,
 // always shimmed so every execution decides.
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -70,11 +70,11 @@ bool parse_delay(const std::string& s, core::DelayRegime& out) {
 }
 
 /// One traced execution; returns false when the certificate is incomplete
-/// (still writes the trace — failing traces are exactly the interesting
-/// ones to archive).
+/// or the trace or report cannot be written. The trace is written either
+/// way: failing traces are exactly the interesting ones to archive.
 bool record_one(const core::LossyRunConfig& lc, const std::string& path,
                 const std::string& report_path) {
-  obs::JsonlFileSink sink(path);
+  obs::MemorySink sink;
   obs::Tracer tracer(&sink);
   obs::Registry metrics;
   core::LossyRunConfig traced = lc;
@@ -86,12 +86,6 @@ bool record_one(const core::LossyRunConfig& lc, const std::string& path,
       traced.base.pattern, traced.base.seed,
       traced.base.cc.fault_model == core::FaultModel::kCrashIncorrectInputs);
   const core::LossyRunOutput out = core::run_cc_lossy_custom(traced, workload);
-  sink.flush();
-
-  if (!report_path.empty()) {
-    std::ofstream rep(report_path);
-    rep << core::run_report_json(out, &metrics) << "\n";
-  }
 
   const bool ok = out.quiescent && out.cert.all_decided &&
                   out.cert.validity && out.cert.agreement;
@@ -100,7 +94,14 @@ bool record_one(const core::LossyRunConfig& lc, const std::string& path,
             << " d_H=" << out.cert.max_pairwise_hausdorff
             << " dropped=" << out.stats.net_dropped
             << " retransmits=" << out.stats.retransmits << "\n";
-  return ok;
+
+  bool written = cli::write_lines(path, sink.lines());
+  if (!report_path.empty()) {
+    written = cli::write_lines(report_path,
+                               {core::run_report_json(out, &metrics)}) &&
+              written;
+  }
+  return ok && written;
 }
 
 core::LossyRunConfig fuzz_config(std::uint64_t seed) {
@@ -171,7 +172,8 @@ int main(int argc, char** argv) {
       usage();
       return 2;
     }
-    std::filesystem::create_directories(cli.out_dir);
+    std::error_code ec;  // an uncreatable dir surfaces as unwritten traces
+    std::filesystem::create_directories(cli.out_dir, ec);
     std::size_t failed = 0;
     for (std::size_t i = 0; i < cli.fuzz; ++i) {
       const std::uint64_t seed = cli.seed + i;
@@ -181,7 +183,7 @@ int main(int argc, char** argv) {
       if (!record_one(lc, path, "")) ++failed;
     }
     std::cout << (cli.fuzz - failed) << "/" << cli.fuzz
-              << " fuzz runs earned the full certificate\n";
+              << " fuzz runs earned the full certificate and were written\n";
     return failed == 0 ? 0 : 1;
   }
 

@@ -16,9 +16,9 @@
 // (quiescent + all decided + validity + agreement) — except instances the
 // preset expects to fail (none of the shipped presets do).
 #include <chrono>
-#include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -142,8 +142,9 @@ int main(int argc, char** argv) {
               << "/instance_<id>.jsonl (verify with chc_check)\n";
   }
 
+  bool written = true;
   if (!report.empty()) {
-    std::ofstream rep(report);
+    std::ostringstream rep;
     rep << "{\n  \"preset\": \"" << preset << "\",\n  \"instances\": "
         << results.size() << ",\n  \"shards\": " << service.shards()
         << ",\n  \"seconds\": " << secs << ",\n  \"instances_per_sec\": "
@@ -152,7 +153,8 @@ int main(int argc, char** argv) {
         << metrics.counter("svc.admitted").value() << ",\n  \"rejected\": "
         << metrics.counter("svc.rejected").value()
         << ",\n  \"backpressure_waits\": "
-        << metrics.counter("svc.backpressure_waits").value() << "\n}\n";
+        << metrics.counter("svc.backpressure_waits").value() << "\n}";
+    written = cli::write_lines(report, {rep.str()});
   }
-  return failed == 0 ? 0 : 1;
+  return failed == 0 && written ? 0 : 1;
 }
